@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -57,7 +56,7 @@ from .layers import (
     two_layer_decomposition,
 )
 from .milp import build_milp, export_lp_format
-from .oracle import solve_bruteforce
+from .oracle import DEFAULT_SIZE_CAP, solve_bruteforce
 from .typesolve import solve_types_decision, solve_types_max, type_index
 from . import __version__
 
@@ -113,7 +112,7 @@ def _bundle_json(bundle: Bundle) -> dict:
     return {"ids": list(bundle.ids), "cost": bundle.cost, "utility": bundle.utility}
 
 
-def _outcome_json(outcome, threads: int, include_profile: bool) -> dict:
+def _outcome_json(outcome, include_profile: bool) -> dict:
     payload = {
         "algorithm": outcome.algorithm,
         "bundle": _bundle_json(outcome.bundle),
@@ -124,7 +123,6 @@ def _outcome_json(outcome, threads: int, include_profile: bool) -> dict:
             "cells": outcome.stats.cells,
             "wall_time_s": outcome.stats.wall_time_s,
         },
-        "threads": threads,
         "utility": outcome.utility,
     }
     if include_profile:
@@ -139,18 +137,16 @@ def _outcome_json(outcome, threads: int, include_profile: bool) -> dict:
     return payload
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get("GROUPPB_THREADS", "1"))
-    if value < 1:
-        raise ValueError("thread count must be at least 1")
-    return value
-
-
 def _load_instance(path: str) -> Instance:
     return parse_instance(_read_text(path))
+
+
+def _load_normalized(path: str) -> Instance:
+    """The instance at path after normalize, with its notes sent to stderr."""
+    inst, notes = normalize(_load_instance(path))
+    for note in notes:
+        _note(note)
+    return inst
 
 
 def _has_floors(inst: Instance) -> bool:
@@ -165,30 +161,46 @@ def _deletion_pool_size(inst: Instance, deleted_group_ids) -> int:
     return len(pool)
 
 
-def _choose_auto(inst: Instance, args) -> tuple[str, dict]:
-    """Deterministic algorithm selection; returns (algo, extra-info)."""
+def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, dict]]:
+    """The solvers auto tries, in order, each with its extra info.
+
+    Each entry after the first is a fallback, run only when the one before it
+    hits a resource cap; extra["note"] is printed before an entry runs.
+    Decision queries skip the solvers that cannot answer them: the deletion
+    solvers, dimdp and lp-round.
+    """
     if _has_floors(inst):
-        return "bruteforce", {"reason": "utility floors present"}
+        return [("bruteforce", {"note": "auto selected bruteforce: utility floors present"})]
     if is_hierarchical(inst.groups):
-        return "hier", {"reason": "family is hierarchical"}
+        return [("hier", {"note": "auto selected hier: family is hierarchical"})]
 
-    options = []
-    ganal = min_group_deletion_set(inst.groups, args.depth_cap)
-    if ganal.deleted is not None:
-        pool = _deletion_pool_size(inst, ganal.deleted)
-        if 2**pool <= AUTO_ENUM_CAP:
-            options.append((2**pool, 0, "group-del", ganal))
-    panal = min_project_deletion_set(inst.groups, args.depth_cap)
-    if panal.deleted is not None and 2 ** len(panal.deleted) <= AUTO_ENUM_CAP:
-        options.append((2 ** len(panal.deleted), 1, "proj-del", panal))
-    if options:
-        options.sort(key=lambda o: (o[0], o[1]))
-        _, _, algo, analysis = options[0]
-        return algo, {"analysis": analysis, "reason": "small deletion distance"}
+    plan = []
+    if not decision:
+        options = []
+        ganal = min_group_deletion_set(inst.groups, args.depth_cap)
+        if ganal.deleted is not None:
+            pool = _deletion_pool_size(inst, ganal.deleted)
+            if 2**pool <= AUTO_ENUM_CAP:
+                options.append((2**pool, 0, "group-del", ganal))
+        panal = min_project_deletion_set(inst.groups, args.depth_cap)
+        if panal.deleted is not None and 2 ** len(panal.deleted) <= AUTO_ENUM_CAP:
+            options.append((2 ** len(panal.deleted), 1, "proj-del", panal))
+        if options:
+            _, _, algo, analysis = min(options, key=lambda o: (o[0], o[1]))
+            note = f"auto selected {algo}: small deletion distance"
+            plan.append((algo, {"analysis": analysis, "note": note}))
+        elif table_cells(inst) <= args.cell_cap:
+            plan.append(("dimdp", {"note": "auto selected dimdp: spending table fits the cell cap"}))
+    if not plan:
+        plan.append(("types", {"note": "auto selected types: fallback to type enumeration"}))
 
-    if table_cells(inst) <= args.cell_cap:
-        return "dimdp", {"reason": "spending table fits the cell cap"}
-    return "types", {"reason": "fallback to type enumeration"}
+    # Last resorts: exhaustive search when small, else rounding.
+    if len(inst.projects) <= DEFAULT_SIZE_CAP:
+        plan.append(("bruteforce", {"note": "auto fell back to bruteforce"}))
+    elif not decision:
+        note = "auto fell back to lp-round; result is approximate, not exact"
+        plan.append(("lp-round", {"note": note}))
+    return plan
 
 
 def _run_solver(inst: Instance, algo: str, args, extra: dict):
@@ -247,31 +259,32 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
 
 
 def cmd_solve(args) -> int:
-    threads = _threads(args)
-    inst = _load_instance(args.instance)
-    inst, notes = normalize(inst)
-    for note in notes:
-        _note(note)
+    inst = _load_normalized(args.instance)
+    decision = args.decision_u is not None
+    if decision and args.algo not in ("auto", "bruteforce", "hier", "types"):
+        print(
+            f"error: decision queries support only bruteforce, hier, or types, not {args.algo}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    plan = _auto_plan(inst, args, decision) if args.algo == "auto" else [(args.algo, {})]
 
-    algo = args.algo
-    extra: dict = {}
-    if args.decision_u is not None:
-        if algo == "auto":
-            if _has_floors(inst):
-                algo = "bruteforce"
-            elif is_hierarchical(inst.groups):
-                algo = "hier"
+    start = time.perf_counter()
+    for attempt, (algo, extra) in enumerate(plan, 1):
+        if "note" in extra:
+            _note(extra["note"])
+        try:
+            if decision:
+                witness = _decision_bundle(inst, algo, args.decision_u, args)
             else:
-                algo = "types"
-        if algo not in ("bruteforce", "hier", "types"):
-            print(
-                f"error: decision queries support only bruteforce, hier, or types, not {algo}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        start = time.perf_counter()
-        witness = _decision_bundle(inst, algo, args.decision_u, args)
-        elapsed = time.perf_counter() - start
+                outcome, deletion_info = _run_solver(inst, algo, args, extra)
+            break
+        except RESOURCE_ERRORS:
+            if attempt == len(plan):
+                raise
+    elapsed = time.perf_counter() - start
+
+    if decision:
         payload = {
             "algorithm": algo,
             "decision": {
@@ -280,34 +293,12 @@ def cmd_solve(args) -> int:
             },
             "bundle": None if witness is None else _bundle_json(witness),
             "stats": {"wall_time_s": elapsed},
-            "threads": threads,
         }
         _emit_json(payload, args.output)
         return EXIT_OK if witness is not None else EXIT_NEGATIVE
 
-    if algo == "auto":
-        algo, extra = _choose_auto(inst, args)
-        if "reason" in extra:
-            _note(f"auto selected {algo}: {extra['reason']}")
-    if algo in ("lp-round", "fptas-g") and args.algo == "auto":
-        _note("result is approximate, not exact")
-
-    start = time.perf_counter()
-    try:
-        outcome, deletion_info = _run_solver(inst, algo, args, extra)
-    except RESOURCE_ERRORS:
-        if args.algo != "auto":
-            raise
-        # Last resorts for auto: exhaustive search when small, else rounding.
-        if derived_stats(inst).m <= 24:
-            _note("auto fell back to bruteforce")
-            outcome, deletion_info = _run_solver(inst, "bruteforce", args, {})
-        else:
-            _note("auto fell back to lp-round; result is approximate, not exact")
-            outcome, deletion_info = _run_solver(inst, "lp-round", args, {})
-    outcome.stats.wall_time_s = time.perf_counter() - start
-
-    payload = _outcome_json(outcome, threads, args.profile)
+    outcome.stats.wall_time_s = elapsed
+    payload = _outcome_json(outcome, args.profile)
     if deletion_info is not None:
         payload["deletion"] = deletion_info
     _emit_json(payload, args.output)
@@ -337,7 +328,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_normalized(args.instance)
     stats = derived_stats(inst)
     universe = frozenset(p.id for p in inst.projects)
     graph = conflict_graph(inst.groups)
@@ -448,37 +439,6 @@ def cmd_export_milp(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    algos = _parse_csv(args.algos)
-    for algo in algos:
-        if algo not in ALGOS:
-            print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
-            return EXIT_USAGE
-    print(f"{'seed':>8} {'algo':>10} {'utility':>8} {'nodes':>10} {'cells':>10} {'seconds':>9}")
-    for offset in range(args.count):
-        seed = args.seed + offset
-        inst = gen_random(
-            GenParams(m=args.m, n=args.n, g=args.g, seed=seed, family_shape=args.shape)
-        )
-        inst, _ = normalize(inst)
-        for algo in algos:
-            start = time.perf_counter()
-            try:
-                resolved, extra = (algo, {})
-                if algo == "auto":
-                    resolved, extra = _choose_auto(inst, args)
-                outcome, _info = _run_solver(inst, resolved, args, extra)
-            except USAGE_ERRORS as exc:
-                print(f"{seed:>8} {algo:>10} skipped: {exc}")
-                continue
-            elapsed = time.perf_counter() - start
-            print(
-                f"{seed:>8} {algo:>10} {outcome.utility:>8} "
-                f"{outcome.stats.nodes:>10} {outcome.stats.cells:>10} {elapsed:>9.4f}"
-            )
-    return EXIT_OK
-
-
 def _add_cap_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     parser.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
@@ -511,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated ids to delete for group-del or proj-del",
     )
     p_solve.add_argument("--profile", action="store_true", help="include the cost profile")
-    p_solve.add_argument("--threads", type=int, default=None)
-    p_solve.add_argument("--format", choices=("json",), default="json")
     p_solve.add_argument("-o", "--output", default=None)
     _add_cap_options(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -558,21 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_milp.add_argument("instance")
     p_milp.add_argument("-o", "--output", default=None)
     p_milp.set_defaults(func=cmd_export_milp)
-
-    p_bench = sub.add_parser("bench", help="time solvers on generated instances")
-    p_bench.add_argument("--count", type=int, default=5)
-    p_bench.add_argument("--m", type=int, default=10)
-    p_bench.add_argument("--n", type=int, default=5)
-    p_bench.add_argument("--g", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--shape", choices=("random-subsets", "laminar", "partition"), default="random-subsets"
-    )
-    p_bench.add_argument("--algos", default="auto", help="comma separated algorithm names")
-    p_bench.add_argument("--epsilon", type=Fraction, default=Fraction(1, 2))
-    p_bench.add_argument("--delete", default=None)
-    _add_cap_options(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

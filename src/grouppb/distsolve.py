@@ -26,6 +26,7 @@ from .core import (
 )
 from .errors import InvalidDeletion, SearchBudgetExceeded
 from .hiersolve import solve_hier
+from .layers import crossing_pair
 
 DEFAULT_DEPTH_CAP = 8
 DEFAULT_NODE_CAP = 10_000_000
@@ -46,23 +47,6 @@ class DeletionAnalysis:
     search_budget_hit: bool
 
 
-def _first_conflict(member_sets: dict[str, frozenset[str]]) -> tuple[str, str] | None:
-    """Lexicographically first conflicting pair of group ids, if any.
-
-    Groups whose current member sets coincide are treated as one set and do
-    not conflict.
-    """
-    ids = sorted(member_sets)
-    for i, x in enumerate(ids):
-        a = member_sets[x]
-        for y in ids[i + 1 :]:
-            b = member_sets[y]
-            common = a & b
-            if common and common != a and common != b:
-                return (x, y)
-    return None
-
-
 def min_group_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> DeletionAnalysis:
     """Fewest groups whose removal leaves a hierarchical family.
 
@@ -80,7 +64,7 @@ def min_group_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> Deleti
         def search(deleted: frozenset[str], left: int) -> None:
             nonlocal nodes
             nodes += 1
-            pair = _first_conflict({g: s for g, s in member_sets.items() if g not in deleted})
+            pair = crossing_pair({g: s for g, s in member_sets.items() if g not in deleted})
             if pair is None:
                 found.append(tuple(sorted(deleted)))
                 return
@@ -113,7 +97,7 @@ def min_project_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> Dele
             nonlocal nodes
             nodes += 1
             current = {g: s - deleted for g, s in original.items()}
-            pair = _first_conflict(current)
+            pair = crossing_pair(current)
             if pair is None:
                 found.append(tuple(sorted(deleted)))
                 return
@@ -237,7 +221,7 @@ def solve_group_deletion(
         raise InvalidDeletion(f"unknown group ids: {', '.join(unknown)}")
     deleted_groups = [by_id[gid] for gid in deleted]
     kept_groups = [f for f in inst.groups if f.id not in set(deleted)]
-    if _first_conflict({f.id: f.members for f in kept_groups}) is not None:
+    if crossing_pair({f.id: f.members for f in kept_groups}) is not None:
         raise InvalidDeletion("remaining family is not hierarchical")
 
     pool = tuple(sorted(set().union(*[f.members for f in deleted_groups]) if deleted_groups else set()))
@@ -260,7 +244,7 @@ def solve_project_deletion(
     if unknown:
         raise InvalidDeletion(f"unknown project ids: {', '.join(unknown)}")
     removed = frozenset(deleted)
-    if _first_conflict({f.id: f.members - removed for f in inst.groups}) is not None:
+    if crossing_pair({f.id: f.members - removed for f in inst.groups}) is not None:
         raise InvalidDeletion("remaining family is not hierarchical")
 
     return _enumerate_and_solve(

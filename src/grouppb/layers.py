@@ -11,7 +11,7 @@ or nested, i.e. when no two groups cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import Group
 from .errors import NotHierarchical, TooLarge
@@ -69,17 +69,32 @@ def conflict_graph(groups: Sequence[Group]) -> ConflictGraph:
     return ConflictGraph(vertices=tuple(f.id for f in ordered), edges=tuple(sorted(edges)))
 
 
-def is_hierarchical(groups: Sequence[Group]) -> bool:
-    """True when every pair of groups is disjoint or strictly nested."""
-    members = [f.members for f in groups]
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
+def crossing_pair(member_sets: Mapping[str, frozenset[str]]) -> tuple[str, str] | None:
+    """Lexicographically first pair of ids whose sets overlap without nesting.
+
+    Equal sets count as nested, so duplicates never form a crossing pair.
+    """
+    ids = sorted(member_sets)
+    for i, x in enumerate(ids):
+        a = member_sets[x]
+        for y in ids[i + 1 :]:
+            b = member_sets[y]
             common = a & b
             if common and common != a and common != b:
-                return False
-            if a == b and a:
-                return False  # duplicate member sets; merge before layering
-    return True
+                return (x, y)
+    return None
+
+
+def is_hierarchical(groups: Sequence[Group]) -> bool:
+    """True when every pair of groups is disjoint or strictly nested.
+
+    Two groups with the same nonempty members are not strictly nested, so
+    duplicates must be merged (normalize does) before a family counts.
+    """
+    nonempty = [f.members for f in groups if f.members]
+    if len(set(nonempty)) < len(nonempty):
+        return False
+    return crossing_pair({f.id: f.members for f in groups}) is None
 
 
 def is_valid_decomposition(groups: Sequence[Group], layers: Sequence[Sequence[str]]) -> bool:

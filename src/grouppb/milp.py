@@ -12,12 +12,9 @@ model is built and exported only; no solver is invoked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import Instance, approval_scores, require_no_utility_floors
-from .errors import TooLarge
-
-DEFAULT_ENUM_CAP = 1_000_000
+from .typesolve import type_index
 
 
 @dataclass(frozen=True)
@@ -55,15 +52,10 @@ def build_milp(inst: Instance) -> MilpModel:
     """Classify projects into (groups, score) types and assemble the model."""
     require_no_utility_floors(inst)
     scores = approval_scores(inst)
-    containing: dict[str, list[str]] = {p.id: [] for p in inst.projects}
-    for f in sorted(inst.groups, key=lambda f: f.id):
-        for pid in f.members:
-            containing[pid].append(f.id)
-
     buckets: dict[tuple[tuple[str, ...], int], list[str]] = {}
-    for p in inst.projects:
-        key = (tuple(containing[p.id]), scores[p.id])
-        buckets.setdefault(key, []).append(p.id)
+    for entry in type_index(inst).types:
+        for pid in entry.members:
+            buckets.setdefault((entry.groups, scores[pid]), []).append(pid)
 
     cost = {p.id: p.cost for p in inst.projects}
     types = []
@@ -134,43 +126,3 @@ def _join_terms(terms) -> str:
         else:
             parts.append(f"+ {coeff} {name}")
     return " ".join(parts)
-
-
-def validate_milp_tiny(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Check the formulation against brute force by enumerating the x space.
-
-    Every integer assignment is completed with the cheapest-first rounding
-    (fund the x cheapest members of each type), which is exactly how an
-    optimal MILP solution can always be rearranged.  Returns True when the
-    best feasible objective equals the brute-force optimum.
-    """
-    from .oracle import solve_bruteforce
-
-    model = build_milp(inst)
-    for t in model.types:
-        assert all(a <= b for a, b in zip(t.costs, t.costs[1:])), "costs must ascend"
-
-    space = 1
-    for t in model.types:
-        space *= len(t.member_ids) + 1
-    if space > enum_cap:
-        raise TooLarge(f"{space} integer assignments exceed the cap of {enum_cap}")
-
-    group_budget = dict(model.group_budgets)
-    best = None
-    for assignment in product(*(range(len(t.member_ids) + 1) for t in model.types)):
-        spend = {gid: 0 for gid in group_budget}
-        total = 0
-        objective = 0
-        for t, x in zip(model.types, assignment):
-            prefix_cost = sum(t.costs[:x])
-            total += prefix_cost
-            objective += t.score * x
-            for gid in t.groups:
-                spend[gid] += prefix_cost
-        if total <= model.budget and all(spend[g] <= group_budget[g] for g in spend):
-            if best is None or objective > best:
-                best = objective
-
-    oracle_best = solve_bruteforce(inst).optimum
-    return best == oracle_best

@@ -8,7 +8,7 @@ results are checked against separately written logic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,9 +17,12 @@ from grouppb import (
     Group,
     Instance,
     Project,
+    TooLarge,
     Voter,
+    build_milp,
     gen_random,
     normalize,
+    solve_bruteforce,
     validate_instance,
 )
 
@@ -155,3 +158,40 @@ def has_perfect_partition(nums) -> bool:
     for x in nums:
         reachable |= {r + x for r in reachable if r + x <= total // 2}
     return total // 2 in reachable
+
+
+def validate_milp_tiny(inst: Instance, enum_cap: int = 1_000_000) -> bool:
+    """Check the MILP formulation against brute force by enumerating the x space.
+
+    Every integer assignment is completed with the cheapest-first rounding
+    (fund the x cheapest members of each type), which is exactly how an
+    optimal MILP solution can always be rearranged.  Returns True when the
+    best feasible objective equals the brute-force optimum.
+    """
+    model = build_milp(inst)
+    for t in model.types:
+        assert all(a <= b for a, b in zip(t.costs, t.costs[1:])), "costs must ascend"
+
+    space = 1
+    for t in model.types:
+        space *= len(t.member_ids) + 1
+    if space > enum_cap:
+        raise TooLarge(f"{space} integer assignments exceed the cap of {enum_cap}")
+
+    group_budget = dict(model.group_budgets)
+    best = None
+    for assignment in product(*(range(len(t.member_ids) + 1) for t in model.types)):
+        spend = {gid: 0 for gid in group_budget}
+        total = 0
+        objective = 0
+        for t, x in zip(model.types, assignment):
+            prefix_cost = sum(t.costs[:x])
+            total += prefix_cost
+            objective += t.score * x
+            for gid in t.groups:
+                spend[gid] += prefix_cost
+        if total <= model.budget and all(spend[g] <= group_budget[g] for g in spend):
+            if best is None or objective > best:
+                best = objective
+
+    return best == solve_bruteforce(inst).optimum

@@ -77,6 +77,12 @@ def floor_file(tmp_path):
     return str(path)
 
 
+def write_instance(tmp_path, inst, name="inst.json") -> str:
+    path = tmp_path / name
+    path.write_text(serialize_instance(validate_instance(inst)))
+    return str(path)
+
+
 def test_solve_auto_picks_hier_on_district_pair(capsys):
     code, out, err = run_cli(capsys, "solve", DISTRICT)
     assert code == 0
@@ -175,6 +181,35 @@ def test_decision_with_floors_routes_to_bruteforce(capsys, floor_file):
     assert payload["bundle"]["utility"] >= 4
 
 
+@pytest.mark.parametrize("extra", [[], ["--decision-u", "3"]])
+def test_floors_beyond_bruteforce_size_exit_4(capsys, tmp_path, extra):
+    # Only bruteforce honors floors, so auto has no fallback to offer.
+    projects = tuple(Project(id=f"p{i:02d}", cost=1) for i in range(30))
+    path = write_instance(
+        tmp_path,
+        Instance(
+            budget=10,
+            projects=projects,
+            voters=(Voter(id="v", approves=frozenset(p.id for p in projects)),),
+            groups=(Group(id="F", members=frozenset({"p00", "p01"}), budget=2, min_utility=1),),
+        ),
+    )
+    code, out, err = run_cli(capsys, "solve", path, *extra)
+    assert code == 4 and out == ""
+    assert "auto selected bruteforce" in err
+    assert "lp-round" not in err
+
+
+def test_decision_falls_back_to_bruteforce_on_types_cap(capsys, crossing_file):
+    # Three utility allocations reach 2 across the three types: over the cap.
+    code, out, err = run_cli(capsys, "solve", crossing_file, "--decision-u", "2", "--node-cap", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == "bruteforce"
+    assert payload["decision"] == {"satisfiable": True, "target": 2}
+    assert "auto fell back to bruteforce" in err
+
+
 def test_check_feasible_bundle(capsys, tmp_path):
     bundle = tmp_path / "bundle.json"
     bundle.write_text('["p3", "p4"]')
@@ -249,6 +284,45 @@ def test_analyze_crossing_family(capsys, crossing_file):
     assert payload["project_deletion"]["deleted"] == ["a"]
 
 
+def test_analyze_merges_duplicate_groups_first(capsys, tmp_path):
+    path = write_instance(
+        tmp_path,
+        Instance(
+            budget=3,
+            projects=(Project(id="a", cost=1), Project(id="b", cost=1)),
+            voters=(Voter(id="v", approves=frozenset({"a", "b"})),),
+            groups=(
+                Group(id="F1", members=frozenset({"a", "b"}), budget=2),
+                Group(id="F2", members=frozenset({"a", "b"}), budget=1),
+            ),
+        ),
+    )
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hierarchical"] is True
+    assert payload["group_deletion"]["deleted"] == []
+    assert payload["stats"]["g"] == 1
+    assert "merged groups with identical members: F1, F2 -> F1" in err
+
+
+def test_analyze_reports_cells_of_clamped_budgets(capsys, tmp_path):
+    path = write_instance(
+        tmp_path,
+        Instance(
+            budget=5,
+            projects=(Project(id="a", cost=1), Project(id="b", cost=1)),
+            voters=(Voter(id="v", approves=frozenset({"a", "b"})),),
+            groups=(Group(id="F1", members=frozenset({"a"}), budget=100),),
+        ),
+    )
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 0
+    # The table auto weighs: group axis clamped to the global budget, 6 x 6.
+    assert json.loads(out)["dim_table_cells"] == 6 * 6
+    assert "clamped budget of group F1" in err
+
+
 def test_gen_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--kind", "random", "--m", "6", "--n", "3", "--g", "2", "--seed", "5"]
@@ -321,22 +395,6 @@ def test_export_milp_matches_golden(capsys):
     assert out == (GOLDEN / "district_pair.lp").read_text()
 
 
-def test_bench_runs_each_algo_per_seed(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--count", "2", "--m", "6", "--n", "3", "--g", "2",
-        "--algos", "auto,bruteforce",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 1 + 2 * 2  # header plus count x algos
-    assert "utility" in lines[0]
-
-
-def test_bench_rejects_unknown_algo(capsys):
-    code, _, err = run_cli(capsys, "bench", "--algos", "quantum")
-    assert code == 2 and "quantum" in err
-
-
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/path.json")
     assert code == 2 and "error:" in err
@@ -364,31 +422,6 @@ def test_auto_falls_back_to_bruteforce_on_resource_error(capsys, crossing_file):
     assert payload["algorithm"] == "bruteforce"
     assert payload["utility"] == 3
     assert "fell back to bruteforce" in err
-
-
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, "solve", DISTRICT, "--threads", "4")
-    assert code == 0 and json.loads(out)["threads"] == 4
-    monkeypatch.setenv("GROUPPB_THREADS", "3")
-    code, out, _ = run_cli(capsys, "solve", DISTRICT)
-    assert code == 0 and json.loads(out)["threads"] == 3
-
-
-def test_thread_count_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "solve", DISTRICT, "--threads", "0")
-    assert code == 2 and "at least 1" in err
-
-
-def test_output_identical_across_thread_counts(capsys):
-    payloads = []
-    for threads in ("1", "4"):
-        code, out, _ = run_cli(capsys, "solve", DISTRICT, "--threads", threads)
-        assert code == 0
-        payload = json.loads(out)
-        payload.pop("threads")
-        payload["stats"].pop("wall_time_s")
-        payloads.append(payload)
-    assert payloads[0] == payloads[1]
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,9 @@ from grouppb import (
     ordered_hier_layers,
     two_layer_decomposition,
 )
+from grouppb.layers import crossing_pair
 
-from conftest import build_corpus
+from conftest import build_corpus, crossing_pairs
 
 
 def G(i, *members, budget=1):
@@ -35,6 +38,19 @@ def test_hierarchy_is_about_crossings_not_intersections():
     assert not is_hierarchical([G(1, "a", "b"), G(2, "b", "c")])
     assert not is_hierarchical([G(1, "a"), G(2, "a")])  # duplicates need a merge first
     assert is_hierarchical([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from("abcde"), max_size=5), max_size=6))
+def test_crossing_pair_is_the_first_reference_crossing(sets):
+    member_sets = {f"F{i}": s for i, s in enumerate(sets)}
+    crossing = [
+        (x, y)
+        for x, y in combinations(sorted(member_sets), 2)
+        if crossing_pairs([member_sets[x], member_sets[y]])
+    ]
+    assert bool(crossing) == crossing_pairs(sets)
+    assert crossing_pair(member_sets) == (crossing[0] if crossing else None)
 
 
 def test_layerwidth_hand_cases():

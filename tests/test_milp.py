@@ -12,10 +12,9 @@ from grouppb import (
     export_lp_format,
     gen_random,
     normalize,
-    validate_milp_tiny,
 )
 
-from conftest import build_corpus
+from conftest import build_corpus, validate_milp_tiny
 
 GOLDEN = Path(__file__).parent / "golden"
 
