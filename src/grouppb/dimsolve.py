@@ -15,8 +15,7 @@ with a completion check over the remaining projects.
 from __future__ import annotations
 
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     Bundle,
@@ -27,6 +26,10 @@ from .core import (
     require_no_utility_floors,
 )
 from .errors import TableTooLarge
+from .typesolve import type_index
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CELL_CAP = 100_000_000
 
@@ -38,6 +41,8 @@ def table_cells(inst: Instance) -> int:
 
 def _run_table(items: list[tuple[int, tuple[int, ...]]], limits: list[int]) -> np.ndarray:
     """Best utility per exact spending vector; -1 marks unreachable cells."""
+    import numpy as np  # imported here so that only dimdp runs pay for loading it
+
     sizes = tuple(limit + 1 for limit in limits)
     table = np.full(sizes, -1, dtype=np.int64)
     table[(0,) * len(sizes)] = 0
@@ -65,12 +70,15 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
     scores = approval_scores(inst)
     projects = sorted(inst.projects, key=lambda p: p.id)
 
-    def vector_of(pid: str, cost: int) -> tuple[int, ...]:
-        return tuple(cost if pid in f.members else 0 for f in groups) + (cost,)
+    # A project spends its cost on the axes of its type's groups and the global one.
+    axes_of = {}
+    for entry in type_index(inst).types:
+        axes = tuple(int(f.id in entry.groups) for f in groups) + (1,)
+        axes_of.update((pid, axes) for pid in entry.members)
 
     usable = []  # projects that fit every axis on their own; others fit no bundle
     for p in projects:
-        vector = vector_of(p.id, p.cost)
+        vector = tuple(p.cost * on for on in axes_of[p.id])
         if all(v <= limit for v, limit in zip(vector, limits)):
             usable.append((p.id, p.cost, scores[p.id], vector))
 
@@ -78,8 +86,7 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
     stats = SolveStats(nodes=len(usable) * table.size, cells=table.size)
 
     best_utility = int(table.max())
-    hit = np.argwhere(table == best_utility)
-    best_cost = int(hit[:, -1].min())
+    best_cost = int((table == best_utility).nonzero()[-1].min())
 
     def completable(start: int, u_rem: int, c_rem: int, room: list[int]) -> bool:
         """Can projects from `start` on reach exactly u_rem utility at exactly

@@ -4,14 +4,28 @@ Models are maximization problems with <= rows and every variable boxed to
 [0, 1].  Box upper bounds become explicit rows, so the all-slack basis is
 feasible from the start (all right-hand sides are non-negative) and no
 phase-1 is needed.  Bland's pivoting rule guarantees termination, and exact
-Fraction arithmetic means the reported vertex is a true basic solution: at
-most (number of rows) variables sit strictly between their bounds.
+arithmetic means the reported vertex is a true basic solution: at most
+(number of rows) variables sit strictly between their bounds.
+
+The tableau is kept fraction-free.  Each stored row is a positive integer
+multiple of the rational tableau row it stands for: a model row is scaled
+once by the lcm of its denominators, a pivot replaces row_i by
+row_i * p - row_i[e] * row_r (a positive multiple again, since p > 0), and
+every updated row is divided by the gcd of its entries to keep the integers
+small.  A row's multiplier is its entry in its basic column, where the
+rational row holds 1, so a value is read out as rhs / basic entry.  The
+reduced-cost row is kept on a positive multiple the same way.  Positive
+scaling keeps every sign, and the ratio test compares rhs_i / a_i by
+cross-multiplication, where the multipliers cancel; so every comparison
+Bland's rule makes comes out as it would on the rational tableau, and the
+pivots, the vertex and the iteration count are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -43,6 +57,18 @@ class BasicSolution:
         )
 
 
+def _integer_row(values) -> list[int]:
+    """The rationals scaled by the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _divided_by_gcd(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (an all-zero row stays)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def simplex_solve(model: LpModel) -> BasicSolution:
     """Maximize over the box-and-rows polytope, exactly.
 
@@ -51,21 +77,20 @@ def simplex_solve(model: LpModel) -> BasicSolution:
     choices together are Bland's rule, so degenerate pivots cannot cycle.
     """
     n = len(model.var_names)
-    box_rows = [
-        LpRow(name=f"ub_{name}", coeffs=tuple(Fraction(int(j == i)) for j in range(n)), rhs=Fraction(1))
-        for i, name in enumerate(model.var_names)
-    ]
-    rows = list(model.rows) + box_rows
-    r = len(rows)
+    m = len(model.rows)
+    r = m + n
 
-    # Tableau columns: n structural vars, r slacks, then the rhs.
+    # Tableau columns: n structural vars, r slacks, then the rhs.  Model row
+    # i has slack n + i; box row i (x_i <= 1) has slack n + m + i.
     tableau = []
-    for i, row in enumerate(rows):
-        line = [Fraction(c) for c in row.coeffs]
-        line += [Fraction(int(j == i)) for j in range(r)]
-        line.append(Fraction(row.rhs))
+    for i, row in enumerate(model.rows):
+        *coeffs, scale, rhs = _integer_row([*row.coeffs, Fraction(1), row.rhs])
+        tableau.append(coeffs + [scale if j == i else 0 for j in range(r)] + [rhs])
+    for i in range(n):
+        line = [0] * (n + r + 1)
+        line[i] = line[n + m + i] = line[-1] = 1
         tableau.append(line)
-    reduced = [-Fraction(c) for c in model.objective] + [Fraction(0)] * (r + 1)
+    reduced = [-c for c in _integer_row(model.objective)] + [0] * (r + 1)
     basis = [n + i for i in range(r)]
 
     iterations = 0
@@ -74,37 +99,35 @@ def simplex_solve(model: LpModel) -> BasicSolution:
         if entering is None:
             break
         pivot_row = None
-        best_ratio = None
+        best_a = best_b = 0
         for i in range(r):
             a = tableau[i][entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                # b / a against best_b / best_a; both denominators are positive.
+                b = tableau[i][-1]
+                if pivot_row is None or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[pivot_row]
                 ):
-                    best_ratio = ratio
-                    pivot_row = i
+                    pivot_row, best_a, best_b = i, a, b
         if pivot_row is None:
             raise ValueError("unbounded LP; the box constraints should prevent this")
 
         iterations += 1
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / pivot for x in tableau[pivot_row]]
+        prow = tableau[pivot_row]
+        pivot = prow[entering]
         for i in range(r):
-            if i != pivot_row and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[pivot_row])]
-        if reduced[entering] != 0:
-            factor = reduced[entering]
-            reduced = [x - factor * y for x, y in zip(reduced, tableau[pivot_row])]
+            factor = tableau[i][entering]
+            if i != pivot_row and factor != 0:
+                tableau[i] = _divided_by_gcd([x * pivot - factor * y for x, y in zip(tableau[i], prow)])
+        factor = reduced[entering]
+        if factor != 0:
+            reduced = _divided_by_gcd([x * pivot - factor * y for x, y in zip(reduced, prow)])
         basis[pivot_row] = entering
 
     values = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            values[var] = tableau[i][-1]
+            values[var] = Fraction(tableau[i][-1], tableau[i][var])
     objective = sum((c * v for c, v in zip(model.objective, values)), Fraction(0))
     return BasicSolution(
         var_names=model.var_names,

@@ -8,11 +8,13 @@ results are checked against separately written logic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from grouppb import (
+    BasicSolution,
     GenParams,
     Group,
     Instance,
@@ -20,6 +22,7 @@ from grouppb import (
     TooLarge,
     Voter,
     build_milp,
+    LpModel,
     gen_random,
     normalize,
     solve_bruteforce,
@@ -195,3 +198,71 @@ def validate_milp_tiny(inst: Instance, enum_cap: int = 1_000_000) -> bool:
                 best = objective
 
     return best == solve_bruteforce(inst).optimum
+
+
+def fraction_simplex_reference(model: LpModel) -> BasicSolution:
+    """Bland's-rule primal simplex on a tableau of Fractions.
+
+    The textbook form of ``simplex_solve``: box rows are explicit, each pivot
+    divides the pivot row by the pivot and eliminates the entering column
+    from every other row.  Equal ``BasicSolution``s, ``iterations``
+    included, mean both took the same pivots.
+    """
+    n = len(model.var_names)
+    rows = [(list(row.coeffs), row.rhs) for row in model.rows]
+    rows += [([Fraction(int(j == i)) for j in range(n)], Fraction(1)) for i in range(n)]
+    r = len(rows)
+
+    tableau = []
+    for i, (coeffs, rhs) in enumerate(rows):
+        line = [Fraction(c) for c in coeffs]
+        line += [Fraction(int(j == i)) for j in range(r)]
+        line.append(Fraction(rhs))
+        tableau.append(line)
+    reduced = [-Fraction(c) for c in model.objective] + [Fraction(0)] * (r + 1)
+    basis = [n + i for i in range(r)]
+
+    iterations = 0
+    while True:
+        entering = next((j for j in range(n + r) if reduced[j] < 0), None)
+        if entering is None:
+            break
+        pivot_row = None
+        best_ratio = None
+        for i in range(r):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                ):
+                    best_ratio = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            raise ValueError("unbounded LP")
+
+        iterations += 1
+        pivot = tableau[pivot_row][entering]
+        tableau[pivot_row] = [x / pivot for x in tableau[pivot_row]]
+        for i in range(r):
+            if i != pivot_row and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[pivot_row])]
+        if reduced[entering] != 0:
+            factor = reduced[entering]
+            reduced = [x - factor * y for x, y in zip(reduced, tableau[pivot_row])]
+        basis[pivot_row] = entering
+
+    values = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            values[var] = tableau[i][-1]
+    objective = sum((c * v for c, v in zip(model.objective, values)), Fraction(0))
+    return BasicSolution(
+        var_names=model.var_names,
+        values=tuple(values),
+        objective=objective,
+        iterations=iterations,
+    )

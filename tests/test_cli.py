@@ -447,6 +447,16 @@ def test_subprocess_entry_point(tmp_path):
     assert json.loads(result.stdout)["utility"] == 4
 
 
+def test_importing_the_cli_does_not_load_numpy():
+    # Only dimdp needs numpy, so no other solve should pay for loading it.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, grouppb.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_subprocess_runs_are_deterministic():
     outs = []
     for _ in range(2):

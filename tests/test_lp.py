@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from grouppb import (
@@ -13,6 +14,8 @@ from grouppb import (
     normalize,
     simplex_solve,
 )
+
+from conftest import fraction_simplex_reference
 
 F = Fraction
 
@@ -111,3 +114,39 @@ def test_objective_matches_float_reference():
 def test_empty_model_solves_to_zero():
     sol = simplex_solve(model("", [], []))
     assert sol.values == () and sol.objective == 0
+
+
+def test_matches_fraction_reference_on_relaxation_corpus():
+    # Whole BasicSolutions: equal iterations mean the same pivot path.
+    for seed0, count in ((0, 25), (200, 25), (400, 30)):
+        for m in relaxation_corpus(count, seed0):
+            assert simplex_solve(m) == fraction_simplex_reference(m)
+
+
+# Few distinct values, so zero right-hand sides and tied ratios are common.
+COEFFS = st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2), F(2, 3), F(-1), F(-3, 2)])
+RHS = st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2), F(5, 3)])
+
+
+@st.composite
+def small_models(draw):
+    n = draw(st.integers(0, 5))
+    coeffs = st.lists(COEFFS, min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(coeffs, RHS), max_size=4))
+    objective = draw(st.one_of(st.just([0] * n), coeffs))
+    return model("abcde"[:n], objective, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models())
+def test_matches_fraction_reference_on_small_models(m):
+    assert simplex_solve(m) == fraction_simplex_reference(m)
+
+
+@pytest.mark.parametrize("m, g, seed", [(40, 12, 1), (50, 10, 2), (70, 8, 3)])
+def test_matches_fraction_reference_at_crossing_sizes(m, g, seed):
+    inst = gen_random(GenParams(m=m, n=4 * m, g=g, seed=seed, approvals_hi=4))
+    relaxation = lp_relaxation(normalize(inst)[0])
+    sol = simplex_solve(relaxation)
+    assert sol == fraction_simplex_reference(relaxation)
+    assert sol.iterations > m  # a long pivot path, not a handful of steps
