@@ -1,20 +1,34 @@
 """Pseudo-polynomial dynamic program over one budget axis per group.
 
 The table has one dimension per group (0..budget, in group-id order) plus a
-final one for the global budget, so a cell is an exact spending vector and
-holds the best utility of any bundle spending exactly that much on every
-axis.  Table size is the product of (budget + 1) over all axes; the cell cap
-guards against accidental blowups.  Cell values are machine integers, which
-is safe because a value never exceeds the instance's total approval score.
+final one for the global budget.  Cell x holds the best utility of a bundle
+spending *at most* x on every axis: the table starts at zeros, and taking a
+project of score u and spending vector v sets T[x] = max(T[x], T[x - v] + u)
+for x >= v.  The cell cap bounds the product of (budget + 1) over all axes.
+Cells are the narrowest signed integer type that holds the total score of
+the n usable projects, which bounds every cell.
 
-The canonical witness is rebuilt afterwards by a greedy pass that includes
-the lexicographically smallest projects first, certifying each inclusion
-with a completion check over the remaining projects.
+Projects are added in descending id order, so the table after those from
+position k on is the suffix table T_k, and T_0 gives the optimum at its
+corner and the least optimal cost along the global axis.  Every b-th suffix
+table, b = ceil(sqrt(n)), is kept as a checkpoint, so at most ceil(n / b) + 2
+tables are live.
+
+The canonical witness takes the lexicographically smallest projects first.
+With the prefix taken so far leaving u_rem utility, c_rem cost and some room
+on the group axes, a project of score u, cost c and group vector v is taken
+iff it fits and T_{pos+1}[room - v, c_rem - c] >= u_rem - u.  Such a
+completion, with the prefix and the project, is a feasible bundle of utility
+at least the optimum and cost at most the least optimal cost, so it has
+exactly both: the test asks for a completion of exactly u_rem - u at exactly
+c_rem - c, with no need for positive scores or costs.  T_{pos+1} is rebuilt
+from the nearest checkpoint above it on the box [0..room - v] x [0..c_rem - c]
+only, which is exact because a cell depends only on the cells at or below it.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import ceil, prod, sqrt
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -39,27 +53,24 @@ def table_cells(inst: Instance) -> int:
     return prod(f.budget + 1 for f in inst.groups) * (inst.budget + 1)
 
 
-def _run_table(items: list[tuple[int, tuple[int, ...]]], limits: list[int]) -> np.ndarray:
-    """Best utility per exact spending vector; -1 marks unreachable cells."""
+def _add(table: np.ndarray, score: int, vector: tuple[int, ...]) -> None:
+    """Take one project into an "at most" table, in place."""
     import numpy as np  # imported here so that only dimdp runs pay for loading it
 
-    sizes = tuple(limit + 1 for limit in limits)
-    table = np.full(sizes, -1, dtype=np.int64)
-    table[(0,) * len(sizes)] = 0
-    for utility, vector in items:
-        if not any(vector):
-            # Free on every axis: taking it improves every reachable cell.
-            np.add(table, utility, out=table, where=table >= 0)
-            continue
-        src = table[tuple(slice(0, s - v) for s, v in zip(sizes, vector))]
-        dst = table[tuple(slice(v, s) for s, v in zip(sizes, vector))]
-        candidate = np.where(src >= 0, src + utility, -1)  # copy: safe despite overlap
-        np.maximum(dst, candidate, out=dst)
-    return table
+    if any(v >= s for v, s in zip(vector, table.shape)):
+        return  # spends more than the table's room on some axis
+    if not any(vector):
+        table += score  # free on every axis: every cell can take it
+        return
+    dst = table[tuple(slice(v, None) for v in vector)]
+    src = table[tuple(slice(0, s - v) for s, v in zip(table.shape, vector))]
+    np.maximum(dst, src + score, out=dst)  # src + score is a copy: safe despite overlap
 
 
 def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcome:
     """Exact optimum via the per-group spending-vector table."""
+    import numpy as np
+
     require_no_utility_floors(inst)
     cells = table_cells(inst)
     if cells > cell_cap:
@@ -68,7 +79,6 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
     groups = sorted(inst.groups, key=lambda f: f.id)
     limits = [f.budget for f in groups] + [inst.budget]
     scores = approval_scores(inst)
-    projects = sorted(inst.projects, key=lambda p: p.id)
 
     # A project spends its cost on the axes of its type's groups and the global one.
     axes_of = {}
@@ -77,44 +87,49 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
         axes_of.update((pid, axes) for pid in entry.members)
 
     usable = []  # projects that fit every axis on their own; others fit no bundle
-    for p in projects:
+    for p in sorted(inst.projects, key=lambda p: p.id):
         vector = tuple(p.cost * on for on in axes_of[p.id])
         if all(v <= limit for v, limit in zip(vector, limits)):
             usable.append((p.id, p.cost, scores[p.id], vector))
 
-    table = _run_table([(score, vector) for _, _, score, vector in usable], limits)
-    stats = SolveStats(nodes=len(usable) * table.size, cells=table.size)
+    n = len(usable)
+    total = sum(score for _, _, score, _ in usable)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= total)
+    stride = ceil(sqrt(n)) or 1
+    table = np.zeros([limit + 1 for limit in limits], dtype)
+    checkpoints = {}
+    for k, (_, _, score, vector) in reversed(list(enumerate(usable))):
+        _add(table, score, vector)
+        if 0 < k and k % stride == 0:
+            checkpoints[k] = table.copy()
 
-    best_utility = int(table.max())
-    best_cost = int((table == best_utility).nonzero()[-1].min())
+    best_utility = int(table[tuple(limits)])
+    best_cost = int((table[tuple(limits[:-1])] == best_utility).argmax())
+    del table  # the walk needs only the checkpoints
 
-    def completable(start: int, u_rem: int, c_rem: int, room: list[int]) -> bool:
-        """Can projects from `start` on reach exactly u_rem utility at exactly
-        c_rem global cost, spending at most `room` on each group axis?"""
-        if u_rem < 0 or c_rem < 0 or any(r < 0 for r in room):
-            return False
-        sub_limits = room[:-1] + [c_rem]
-        sub_items = [
-            (score, vector)
-            for _, _, score, vector in usable[start:]
-            if all(v <= limit for v, limit in zip(vector, sub_limits))
-        ]
-        sub_table = _run_table(sub_items, sub_limits)
-        return bool((sub_table[..., c_rem] == u_rem).any())
+    def suffix_cell(j: int, box: list[int]) -> int:
+        """T_j[box], rebuilt from the nearest checkpoint at or above j."""
+        k = min(-(-j // stride) * stride, n)
+        region = tuple(slice(0, x + 1) for x in box)
+        part = checkpoints[k][region].copy() if k < n else np.zeros([x + 1 for x in box], dtype)
+        for _, _, score, vector in usable[j:k]:
+            _add(part, score, vector)
+        return int(part[tuple(box)])
 
     chosen: list[str] = []
     u_rem, c_rem = best_utility, best_cost
-    room = list(limits)
+    room = limits[:-1]
     for pos, (pid, cost, score, vector) in enumerate(usable):
-        with_it = [r - v for r, v in zip(room, vector)]
-        if completable(pos + 1, u_rem - score, c_rem - cost, with_it):
+        box = [r - v for r, v in zip(room, vector)] + [c_rem - cost]
+        if min(box) >= 0 and suffix_cell(pos + 1, box) >= u_rem - score:
             chosen.append(pid)
-            room = with_it
+            room = box[:-1]
             u_rem -= score
             c_rem -= cost
     assert u_rem == 0 and c_rem == 0
 
     bundle = Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility)
+    stats = SolveStats(nodes=n * cells, cells=cells)
     return SolveOutcome(
         algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats
     )

@@ -15,6 +15,7 @@ import pytest
 
 from grouppb import (
     BasicSolution,
+    Bundle,
     GenParams,
     Group,
     Instance,
@@ -23,9 +24,13 @@ from grouppb import (
     Voter,
     build_milp,
     LpModel,
+    SolveOutcome,
+    SolveStats,
+    approval_scores,
     gen_random,
     normalize,
     solve_bruteforce,
+    type_index,
     validate_instance,
 )
 
@@ -265,4 +270,76 @@ def fraction_simplex_reference(model: LpModel) -> BasicSolution:
         values=tuple(values),
         objective=objective,
         iterations=iterations,
+    )
+
+
+def dimdp_completion_reference(inst: Instance) -> SolveOutcome:
+    """dimdp on "exactly" cells, with one completion table per project.
+
+    A cell is an exact spending vector (-1 where unreachable), and each
+    greedy step of the witness re-solves the remaining projects to ask
+    whether they complete the bundle at exactly the remaining utility and
+    cost.  Slow, but it shares nothing with ``solve_dimdp`` past the
+    project order, so equal ``SolveOutcome``s pin the optimum, the
+    canonical witness and the counters.
+    """
+    import numpy as np
+
+    def run_table(items, limits):
+        sizes = tuple(limit + 1 for limit in limits)
+        table = np.full(sizes, -1, dtype=np.int64)
+        table[(0,) * len(sizes)] = 0
+        for utility, vector in items:
+            if not any(vector):
+                np.add(table, utility, out=table, where=table >= 0)
+                continue
+            src = table[tuple(slice(0, s - v) for s, v in zip(sizes, vector))]
+            dst = table[tuple(slice(v, s) for s, v in zip(sizes, vector))]
+            np.maximum(dst, np.where(src >= 0, src + utility, -1), out=dst)
+        return table
+
+    groups = sorted(inst.groups, key=lambda f: f.id)
+    limits = [f.budget for f in groups] + [inst.budget]
+    scores = approval_scores(inst)
+    axes_of = {}
+    for entry in type_index(inst).types:
+        axes = tuple(int(f.id in entry.groups) for f in groups) + (1,)
+        axes_of.update((pid, axes) for pid in entry.members)
+    usable = []
+    for p in sorted(inst.projects, key=lambda p: p.id):
+        vector = tuple(p.cost * on for on in axes_of[p.id])
+        if all(v <= limit for v, limit in zip(vector, limits)):
+            usable.append((p.id, p.cost, scores[p.id], vector))
+
+    table = run_table([(score, vector) for _, _, score, vector in usable], limits)
+    stats = SolveStats(nodes=len(usable) * table.size, cells=table.size)
+    best_utility = int(table.max())
+    best_cost = int((table == best_utility).nonzero()[-1].min())
+
+    def completable(start, u_rem, c_rem, room):
+        if u_rem < 0 or c_rem < 0 or any(r < 0 for r in room):
+            return False
+        sub_limits = room[:-1] + [c_rem]
+        sub_items = [
+            (score, vector)
+            for _, _, score, vector in usable[start:]
+            if all(v <= limit for v, limit in zip(vector, sub_limits))
+        ]
+        return bool((run_table(sub_items, sub_limits)[..., c_rem] == u_rem).any())
+
+    chosen = []
+    u_rem, c_rem = best_utility, best_cost
+    room = list(limits)
+    for pos, (pid, cost, score, vector) in enumerate(usable):
+        with_it = [r - v for r, v in zip(room, vector)]
+        if completable(pos + 1, u_rem - score, c_rem - cost, with_it):
+            chosen.append(pid)
+            room = with_it
+            u_rem -= score
+            c_rem -= cost
+    assert u_rem == 0 and c_rem == 0
+
+    bundle = Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility)
+    return SolveOutcome(
+        algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats
     )

@@ -5,16 +5,19 @@ from grouppb import (
     GenParams,
     Group,
     Instance,
+    Project,
     TableTooLarge,
     UtilityFloorsUnsupported,
+    Voter,
     gen_random,
     normalize,
     solve_bruteforce,
     solve_dimdp,
     table_cells,
+    validate_instance,
 )
 
-from conftest import build_corpus
+from conftest import build_corpus, dimdp_completion_reference
 
 
 def test_table_cells_is_product_of_axis_sizes(district_pair):
@@ -114,3 +117,98 @@ def test_floors_are_rejected():
     )
     with pytest.raises(UtilityFloorsUnsupported):
         solve_dimdp(inst)
+
+
+@st.composite
+def raw_instances(draw):
+    """Small instances as written, not normalized: zero-cost and zero-score
+    projects, projects too dear for some axis, and often no groups at all.
+
+    A project with zero cost and zero score is drawn with cost 1 instead.
+    Adding it to a bundle changes neither utility nor cost, so it ties two
+    nested bundles, and the solvers break that tie differently (bruteforce
+    keeps the shorter id tuple, dimdp takes the project).
+    """
+    m = draw(st.integers(0, 12))
+    ids = [f"p{i:02d}" for i in range(m)]
+    ballots = draw(st.lists(st.sets(st.sampled_from(ids)) if ids else st.just(set()), max_size=4))
+    costs = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    approved = set().union(*ballots)
+    projects = tuple(
+        Project(id=pid, cost=cost or int(pid not in approved)) for pid, cost in zip(ids, costs)
+    )
+    groups = tuple(
+        Group(
+            id=f"F{k}",
+            members=frozenset(draw(st.sets(st.sampled_from(ids)))),
+            budget=draw(st.integers(0, 8)),
+        )
+        for k in range(draw(st.integers(0, 3) if ids else st.just(0)))
+    )
+    return validate_instance(
+        Instance(
+            budget=draw(st.integers(0, 12)),
+            projects=projects,
+            voters=tuple(Voter(id=f"v{i}", approves=frozenset(b)) for i, b in enumerate(ballots)),
+            groups=groups,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instances())
+def test_whole_bundle_matches_oracle_without_normalizing(inst):
+    oracle = solve_bruteforce(inst)
+    out = solve_dimdp(inst)
+    assert out.utility == oracle.optimum
+    assert out.bundle == oracle.witness
+
+
+def _mid_size_corpus(count: int) -> list[Instance]:
+    """Normalized instances with m 16-22 and g 3-4 whose table is at most 300k cells."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        m, g = 16 + seed % 7, 3 + seed % 2
+        inst, _ = normalize(gen_random(GenParams(m=m, n=4 * m, g=g, seed=seed)))
+        if table_cells(inst) <= 300_000:
+            out.append(inst)
+        seed += 1
+    return out
+
+
+def test_matches_completion_reference_at_mid_sizes():
+    # Bruteforce is slow here; the reference re-solves a table per project.
+    for inst in _mid_size_corpus(30):
+        assert solve_dimdp(inst) == dimdp_completion_reference(inst)
+
+
+def _scored_instance(scores: list[int], group_budget: int) -> Instance:
+    """Projects p0, p1, ... of cost 1 with the given approval scores, all of
+    them in one group of the given budget, global budget = project count."""
+    ids = [f"p{i}" for i in range(len(scores))]
+    return validate_instance(
+        Instance(
+            budget=len(ids),
+            projects=tuple(Project(id=pid, cost=1) for pid in ids),
+            voters=tuple(
+                Voter(id=f"v{j}", approves=frozenset(pid for pid, s in zip(ids, scores) if s > j))
+                for j in range(max(scores))
+            ),
+            groups=(Group(id="F", members=frozenset(ids), budget=group_budget),),
+        )
+    )
+
+
+@pytest.mark.parametrize("total", [127, 128, 32767, 32768])
+def test_cell_type_holds_the_total_score(total):
+    # 127 and 32767 are the largest int8 and int16 values: one more must
+    # move the table to the next width, not wrap round.
+    scores = [total // 3, total // 3, total - 2 * (total // 3)]
+    whole = _scored_instance(scores, group_budget=3)
+    out = solve_dimdp(whole)
+    assert out.utility == total and out.bundle.ids == ("p0", "p1", "p2")
+    assert out == dimdp_completion_reference(whole)
+    capped = _scored_instance(scores, group_budget=2)
+    assert solve_dimdp(capped) == dimdp_completion_reference(capped)
+    assert solve_dimdp(capped).utility == total - min(scores)
