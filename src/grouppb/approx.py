@@ -28,6 +28,7 @@ from .core import (
 )
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, LpModel, LpRow, simplex_solve
+from .profile import Cell, decode
 from .typesolve import DEFAULT_NODE_CAP, type_index, type_min_cost_tables
 
 
@@ -95,19 +96,17 @@ def solve_lp_round(inst: Instance) -> SolveOutcome:
     )
 
 
-def _bucket_candidates(
-    entries, one_plus_eps: Fraction
-) -> list[tuple[int, int, tuple[str, ...]]]:
+def _bucket_candidates(entries: list[Cell], one_plus_eps: Fraction) -> list[tuple[int, int, int]]:
     """Cheapest derived candidate per power-of-(1+eps) utility bucket.
 
-    entries[v] is the exact-utility table of one type.  Returns (v, cost,
-    witness) triples sorted by utility, one per occupied bucket, preferring
-    lower cost and then higher utility inside a bucket.  Bucket membership is
-    decided by exact comparison with rational powers; no logarithms.
+    entries is the exact profile of one type.  Returns (v, cost, mask)
+    triples sorted by utility, one per occupied bucket, preferring lower cost
+    and then higher utility inside a bucket.  Bucket membership is decided by
+    exact comparison with rational powers; no logarithms.
     """
-    kept: list[tuple[int, int, tuple[str, ...]]] = []
+    kept: list[tuple[int, int, int]] = []
     boundary = Fraction(1)  # lower edge of the current bucket
-    bucket_best: tuple[int, int, tuple[str, ...]] | None = None
+    bucket_best: tuple[int, int, int] | None = None
     for v in range(1, len(entries)):
         entry = entries[v]
         if entry is None:
@@ -144,11 +143,10 @@ def solve_fptas_g(
     one_plus_eps = 1 + epsilon
 
     index = type_index(inst)
-    tables = type_min_cost_tables(inst, index, mode="exact")
+    tables = type_min_cost_tables(inst, index)
     scores = approval_scores(inst)
-    candidates = [
-        _bucket_candidates(table.entries, one_plus_eps) for table in tables.tables
-    ]
+    ids = sorted(scores)
+    candidates = [_bucket_candidates(table, one_plus_eps) for table in tables]
 
     estimate = 1
     for cands in candidates:
@@ -159,21 +157,19 @@ def solve_fptas_g(
         )
 
     budget_of = {f.id: f.budget for f in inst.groups}
-    stats = SolveStats(cells=tables.cells())
+    stats = SolveStats(cells=sum(len(t) for t in tables))
     group_spend = {gid: 0 for gid in budget_of}
-    parts: list[tuple[str, ...]] = []
     best: Bundle | None = None
 
-    def rec(i: int, utility: int, spent: int) -> None:
+    def rec(i: int, utility: int, spent: int, mask: int) -> None:
         nonlocal best
         stats.nodes += 1
         if i == len(index.types):
-            ids = tuple(sorted(pid for part in parts for pid in part))
-            candidate = Bundle(ids=ids, cost=spent, utility=utility)
+            candidate = Bundle(ids=decode(mask, ids), cost=spent, utility=utility)
             if best is None or preference_key(candidate) < preference_key(best):
                 best = candidate
             return
-        rec(i + 1, utility, spent)  # skip this type entirely
+        rec(i + 1, utility, spent, mask)  # skip this type entirely
         touched = index.types[i].groups
         for v, cost, wit in candidates[i]:
             if spent + cost > inst.budget:
@@ -182,13 +178,11 @@ def solve_fptas_g(
                 continue
             for gid in touched:
                 group_spend[gid] += cost
-            parts.append(wit)
-            rec(i + 1, utility + v, spent + cost)
-            parts.pop()
+            rec(i + 1, utility + v, spent + cost, mask | wit)
             for gid in touched:
                 group_spend[gid] -= cost
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     assert best is not None  # skipping everything yields the empty bundle
     assert best.utility == sum(scores[pid] for pid in best.ids)
     return SolveOutcome(

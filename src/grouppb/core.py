@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInstance, UnknownProject, ValidationIssue
+from .profile import Cell, decode
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -106,15 +107,24 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class UtilityCostProfile:
-    """entries[z] is the cheapest feasible bundle of utility exactly z, or None."""
+    """cells[z] is the cheapest feasible bundle of utility exactly z, or None.
 
-    entries: tuple[ProfileEntry | None, ...]
+    A cell is (cost, mask) over the id order ids, as in profile.py; bundles
+    are decoded only when read, through entries or optimum().
+    """
+
+    cells: tuple[Cell, ...]
+    ids: tuple[str, ...]
+
+    @property
+    def entries(self) -> tuple[ProfileEntry | None, ...]:
+        return tuple(None if c is None else ProfileEntry(c[0], decode(c[1], self.ids)) for c in self.cells)
 
     def optimum(self) -> tuple[int, ProfileEntry] | None:
-        for z in range(len(self.entries) - 1, -1, -1):
-            entry = self.entries[z]
-            if entry is not None:
-                return z, entry
+        for z in range(len(self.cells) - 1, -1, -1):
+            cell = self.cells[z]
+            if cell is not None:
+                return z, ProfileEntry(cell[0], decode(cell[1], self.ids))
         return None
 
 

@@ -24,6 +24,10 @@ exactly both: the test asks for a completion of exactly u_rem - u at exactly
 c_rem - c, with no need for positive scores or costs.  T_{pos+1} is rebuilt
 from the nearest checkpoint above it on the box [0..room - v] x [0..c_rem - c]
 only, which is exact because a cell depends only on the cells at or below it.
+
+Where the walk's bundle and another optimum first differ, the walk's holds
+the project, so the smaller id tuple can only be a proper prefix of it: the
+walk drops its trailing run of projects that cost 0 and score 0.
 """
 
 from __future__ import annotations
@@ -127,6 +131,9 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
             u_rem -= score
             c_rem -= cost
     assert u_rem == 0 and c_rem == 0
+    idle = {pid for pid, cost, score, _ in usable if not cost and not score}
+    while chosen and chosen[-1] in idle:
+        chosen.pop()  # a proper prefix is the smaller id tuple
 
     bundle = Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility)
     stats = SolveStats(nodes=n * cells, cells=cells)

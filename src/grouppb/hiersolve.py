@@ -18,7 +18,6 @@ from .core import (
     Bundle,
     Group,
     Instance,
-    ProfileEntry,
     SolveOutcome,
     SolveStats,
     UtilityCostProfile,
@@ -27,8 +26,7 @@ from .core import (
 )
 from .errors import NotHierarchical
 from .layers import is_hierarchical
-
-_Entry = tuple[int, tuple[str, ...]]  # (cost, witness ids); None marks unreachable
+from .profile import Cell, combine, cut, item, rank_bits
 
 
 @dataclass(frozen=True)
@@ -97,29 +95,6 @@ def build_hier_tree(inst: Instance) -> HierTree:
     return HierTree(root=root)
 
 
-def _combine(left: list[_Entry | None], right: list[_Entry | None], cap: int) -> list[_Entry | None]:
-    """Min-plus convolution of two profiles, saturating the utility axis at cap."""
-    out: list[_Entry | None] = [None] * (min(len(left) + len(right) - 2, cap) + 1)
-    for z1, e1 in enumerate(left):
-        if e1 is None:
-            continue
-        c1, w1 = e1
-        for z2, e2 in enumerate(right):
-            if e2 is None:
-                continue
-            c2, w2 = e2
-            z = min(z1 + z2, cap)
-            cost = c1 + c2
-            incumbent = out[z]
-            if incumbent is None or cost < incumbent[0]:
-                out[z] = (cost, tuple(sorted(w1 + w2)))
-            elif cost == incumbent[0]:
-                merged = tuple(sorted(w1 + w2))
-                if merged < incumbent[1]:
-                    out[z] = (cost, merged)
-    return out
-
-
 def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
     """Optimum bundle and full per-utility cost profile for a hierarchical family.
 
@@ -134,32 +109,23 @@ def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
     total_score = sum(scores.values())
     cap = total_score if u_cap is None else min(u_cap, total_score)
 
+    ids = tuple(sorted(scores))
+    bit = rank_bits(ids)
     stats = SolveStats()
 
-    def evaluate(node: HierNode) -> list[_Entry | None]:
+    def evaluate(node: HierNode) -> list[Cell]:
         if node.project is not None:
-            profile: list[_Entry | None] = [(0, ())]
-            z = min(scores[node.project], cap)
-            if z > 0:
-                profile.extend([None] * (z - len(profile) + 1))
-                profile[z] = (node.budget, (node.project,))
-            stats.cells += len(profile)
-            return profile
-
-        profile = [(0, ())]
-        for child in node.children:
-            profile = _combine(profile, evaluate(child), cap)
-        for z, entry in enumerate(profile):
-            if entry is not None and entry[0] > node.budget:
-                profile[z] = None
+            profile = item(scores[node.project], node.budget, bit[node.project], cap)
+        else:
+            profile = [(0, 0)]
+            for child in node.children:
+                profile = combine(profile, evaluate(child), cap)
+            cut(profile, node.budget)
         stats.cells += len(profile)
         return profile
 
-    root_profile = evaluate(tree.root)
+    profile = UtilityCostProfile(cells=tuple(evaluate(tree.root)), ids=ids)
     stats.nodes = tree.root.count()
-
-    entries = tuple(None if e is None else ProfileEntry(cost=e[0], ids=e[1]) for e in root_profile)
-    profile = UtilityCostProfile(entries=entries)
     top = profile.optimum()
     assert top is not None  # the empty bundle always survives
     z, entry = top

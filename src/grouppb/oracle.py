@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from .core import (
     Bundle,
     Instance,
-    ProfileEntry,
     SolveOutcome,
     SolveStats,
     UtilityCostProfile,
     approval_scores,
 )
 from .errors import TooLarge
+from .profile import decode, rank_bits
 
 DEFAULT_SIZE_CAP = 24
 
@@ -62,16 +62,16 @@ def solve_bruteforce(inst: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Oracle
         raise TooLarge(f"brute force over {m} projects exceeds the cap of {size_cap}")
 
     ids = [p.id for p in inst.projects]
-    cost = [p.cost for p in inst.projects]
+    bit = rank_bits(ids)  # bit j stands for the project at position m - 1 - j
+    cost = [p.cost for p in reversed(inst.projects)]
     score_map = approval_scores(inst)
-    score = [score_map[pid] for pid in ids]
-    index = {pid: i for i, pid in enumerate(ids)}
+    score = [score_map[p.id] for p in reversed(inst.projects)]
 
     group_masks: list[tuple[int, int, int]] = []  # (member mask, budget, floor)
     for f in inst.groups:
         mask = 0
         for pid in f.members:
-            mask |= 1 << index[pid]
+            mask |= bit[pid]
         group_masks.append((mask, f.budget, f.min_utility))
 
     total = 1 << m
@@ -92,7 +92,7 @@ def solve_bruteforce(inst: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Oracle
     def ids_of(mask: int) -> tuple[str, ...]:
         cached = ids_cache.get(mask)
         if cached is None:
-            cached = tuple(ids[i] for i in range(m) if mask >> i & 1)
+            cached = decode(mask, ids)
             ids_cache[mask] = cached
         return cached
 
@@ -116,11 +116,8 @@ def solve_bruteforce(inst: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Oracle
         elif c == incumbent and ids_of(s) < ids_of(best_mask[z]):
             best_mask[z] = s
 
-    entries: list[ProfileEntry | None] = []
-    for z in range(max_utility + 1):
-        c = best_cost[z]
-        entries.append(None if c is None else ProfileEntry(cost=c, ids=ids_of(best_mask[z])))
-    profile = UtilityCostProfile(entries=tuple(entries))
+    cells = tuple(None if c is None else (c, best_mask[z]) for z, c in enumerate(best_cost))
+    profile = UtilityCostProfile(cells=cells, ids=tuple(ids))
 
     stats = SolveStats(nodes=total, cells=2 * total)
     top = profile.optimum()

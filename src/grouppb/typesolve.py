@@ -2,8 +2,9 @@
 
 Projects sharing exactly the same set of containing groups are
 interchangeable with respect to the budget constraints; each such class is a
-"type".  For every type a small knapsack table gives the cheapest sub-bundle
-reaching any utility target, and a feasibility question for target u reduces
+"type".  For every type a cost profile (profile.py) gives the cheapest
+sub-bundle of each exact utility, and its suffix minima the cheapest one
+reaching each utility target.  A feasibility question for target u reduces
 to trying the ways of splitting u across the types (compositions bounded by
 each type's attainable utility), checking every budget on the per-type
 cheapest choices.  The number of types is bounded by 2^g, so this is
@@ -24,10 +25,9 @@ from .core import (
     require_no_utility_floors,
 )
 from .errors import SearchBudgetExceeded
+from .profile import Cell, at_least, combine, decode, item, rank_bits
 
 DEFAULT_NODE_CAP = 10_000_000
-
-_Entry = tuple[int, tuple[str, ...]]  # (cost, witness ids)
 
 
 @dataclass(frozen=True)
@@ -39,27 +39,6 @@ class TypeEntry:
 @dataclass(frozen=True)
 class TypeIndex:
     types: tuple[TypeEntry, ...]
-
-
-@dataclass(frozen=True)
-class TypeTable:
-    """entries[v]: cheapest sub-bundle of one type at utility v, or None.
-
-    In "exact" mode v must be hit exactly; in "at-least" mode entries[v] is
-    the cheapest sub-bundle of utility v or more (never None, and its cost is
-    non-decreasing in v).
-    """
-
-    entries: tuple[_Entry | None, ...]
-
-
-@dataclass(frozen=True)
-class TypeTables:
-    mode: str  # "at-least" | "exact"
-    tables: tuple[TypeTable, ...]  # aligned with TypeIndex.types
-
-    def cells(self) -> int:
-        return sum(len(t.entries) for t in self.tables)
 
 
 def type_index(inst: Instance) -> TypeIndex:
@@ -77,46 +56,24 @@ def type_index(inst: Instance) -> TypeIndex:
     return TypeIndex(types=types)
 
 
-def type_min_cost_tables(
-    inst: Instance, index: TypeIndex, u_cap: int | None = None, mode: str = "at-least"
-) -> TypeTables:
-    """Per-type cheapest-bundle tables over utility targets.
+def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
+    """The exact cost profile of each type, aligned with index.types.
 
-    Tables are exact-value knapsacks per type, optionally converted to
-    at-least form by suffix minima (taken before any truncation to u_cap, so
-    over-shooting bundles still count).  Witnesses follow the canonical
-    tie-break.
+    Cell v of a profile is the cheapest sub-bundle of the type at utility
+    exactly v, with masks over the instance's sorted project ids.
     """
-    if mode not in ("at-least", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
     scores = approval_scores(inst)
     cost = {p.id: p.cost for p in inst.projects}
+    bit = rank_bits(sorted(scores))
 
     tables = []
     for entry in index.types:
-        reach: list[_Entry | None] = [(0, ())]
-        for pid in entry.members:  # ascending ids keep witness tuples sorted
-            s, c = scores[pid], cost[pid]
-            grown: list[_Entry | None] = list(reach) + [None] * s
-            for v, cur in enumerate(reach):
-                if cur is None:
-                    continue
-                cand = (cur[0] + c, cur[1] + (pid,))
-                old = grown[v + s]
-                if old is None or (cand[0], cand[1]) < old:
-                    grown[v + s] = cand
-            reach = grown
-        if mode == "at-least":
-            best: _Entry | None = None
-            for v in range(len(reach) - 1, -1, -1):
-                cur = reach[v]
-                if cur is not None and (best is None or (cur[0], cur[1]) < best):
-                    best = cur
-                reach[v] = best
-        if u_cap is not None:
-            reach = reach[: u_cap + 1]
-        tables.append(TypeTable(entries=tuple(reach)))
-    return TypeTables(mode=mode, tables=tuple(tables))
+        total = sum(scores[pid] for pid in entry.members)
+        reach: list[Cell] = [(0, 0)]
+        for pid in entry.members:
+            reach = combine(reach, item(scores[pid], cost[pid], bit[pid], total), total)
+        tables.append(reach)
+    return tables
 
 
 def _count_compositions(caps: list[int], u: int) -> int:
@@ -134,7 +91,7 @@ def _count_compositions(caps: list[int], u: int) -> int:
 def _enumerate_allocations(
     inst: Instance,
     index: TypeIndex,
-    tables: TypeTables,
+    tables: list[list[Cell]],
     u: int,
     node_cap: int,
     stats: SolveStats,
@@ -142,12 +99,14 @@ def _enumerate_allocations(
 ) -> Bundle | None:
     """DFS over utility allocations summing to u; returns a feasible bundle.
 
-    With collect_best, scans every allocation and returns the canonical
-    winner; otherwise the first feasible allocation wins.
+    tables are the types' at-least profiles.  With collect_best, scans every
+    allocation and returns the canonical winner; otherwise the first
+    feasible allocation wins.
     """
     scores = approval_scores(inst)
+    ids = sorted(scores)
     types = index.types
-    caps = [len(t.entries) - 1 for t in tables.tables]
+    caps = [len(t) - 1 for t in tables]
     estimate = _count_compositions(caps, u)
     if estimate > node_cap:
         raise SearchBudgetExceeded(
@@ -160,18 +119,14 @@ def _enumerate_allocations(
         suffix[i] = suffix[i + 1] + caps[i]
 
     group_spend = {gid: 0 for gid in budget_of}
-    parts: list[tuple[str, ...]] = []
     best: Bundle | None = None
 
-    def materialize(total_cost: int) -> Bundle:
-        ids = tuple(sorted(pid for part in parts for pid in part))
-        return Bundle(ids=ids, cost=total_cost, utility=sum(scores[pid] for pid in ids))
-
-    def rec(i: int, u_rem: int, spent: int) -> Bundle | None:
+    def rec(i: int, u_rem: int, spent: int, mask: int) -> Bundle | None:
         nonlocal best
         stats.nodes += 1
         if i == len(types):
-            candidate = materialize(spent)
+            chosen = decode(mask, ids)
+            candidate = Bundle(ids=chosen, cost=spent, utility=sum(scores[pid] for pid in chosen))
             if not collect_best:
                 return candidate
             if best is None or preference_key(candidate) < preference_key(best):
@@ -179,38 +134,28 @@ def _enumerate_allocations(
             return None
         lo = max(0, u_rem - suffix[i + 1])
         hi = min(caps[i], u_rem)
-        table = tables.tables[i].entries
+        table = tables[i]
         touched = types[i].groups
         for take in range(lo, hi + 1):
-            entry = table[take]
-            assert entry is not None  # at-least tables have no gaps
-            c, wit = entry
+            c, wit = table[take]  # at-least tables have no gaps
             if spent + c > inst.budget:
                 break  # cost only grows with the target
             if any(group_spend[gid] + c > budget_of[gid] for gid in touched):
                 break
             for gid in touched:
                 group_spend[gid] += c
-            parts.append(wit)
-            hit = rec(i + 1, u_rem - take, spent + c)
-            parts.pop()
+            hit = rec(i + 1, u_rem - take, spent + c, mask | wit)
             for gid in touched:
                 group_spend[gid] -= c
             if hit is not None:
                 return hit
         return None
 
-    first = rec(0, u, 0)
+    first = rec(0, u, 0, 0)
     return best if collect_best else first
 
 
-def solve_types_decision(
-    inst: Instance,
-    u: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    stats: SolveStats | None = None,
-    _prepared: tuple[TypeIndex, TypeTables] | None = None,
-) -> Bundle | None:
+def solve_types_decision(inst: Instance, u: int, node_cap: int = DEFAULT_NODE_CAP) -> Bundle | None:
     """A feasible bundle with utility at least u, or None when none exists.
 
     Sound and complete: any feasible bundle's per-type utilities dominate
@@ -218,35 +163,28 @@ def solve_types_decision(
     raises the table cost, so the allocation scan cannot miss a witness.
     """
     require_no_utility_floors(inst)
-    if stats is None:
-        stats = SolveStats()
-    if _prepared is None:
-        index = type_index(inst)
-        tables = type_min_cost_tables(inst, index, mode="at-least")
-    else:
-        index, tables = _prepared
-    stats.cells = tables.cells()
-    if u > sum(len(t.entries) - 1 for t in tables.tables):
+    index = type_index(inst)
+    tables = [at_least(t) for t in type_min_cost_tables(inst, index)]
+    if u > sum(len(t) - 1 for t in tables):
         return None
-    return _enumerate_allocations(inst, index, tables, u, node_cap, stats, collect_best=False)
+    return _enumerate_allocations(inst, index, tables, u, node_cap, SolveStats(), collect_best=False)
 
 
 def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
-    """Maximum utility by binary search over the decision solver.
+    """Maximum utility by binary search over the allocation scan.
 
     The final pass re-enumerates every allocation at the optimum and applies
     the canonical tie-break, so the witness matches the other exact solvers.
     """
     require_no_utility_floors(inst)
     index = type_index(inst)
-    tables = type_min_cost_tables(inst, index, mode="at-least")
-    stats = SolveStats(cells=tables.cells())
-    prepared = (index, tables)
+    tables = [at_least(t) for t in type_min_cost_tables(inst, index)]
+    stats = SolveStats(cells=sum(len(t) for t in tables))
 
-    lo, hi = 0, sum(len(t.entries) - 1 for t in tables.tables)
+    lo, hi = 0, sum(len(t) - 1 for t in tables)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if solve_types_decision(inst, mid, node_cap, stats, _prepared=prepared) is not None:
+        if _enumerate_allocations(inst, index, tables, mid, node_cap, stats, False) is not None:
             lo = mid
         else:
             hi = mid - 1

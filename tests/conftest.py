@@ -24,9 +24,11 @@ from grouppb import (
     Voter,
     build_milp,
     LpModel,
+    ProfileEntry,
     SolveOutcome,
     SolveStats,
     approval_scores,
+    build_hier_tree,
     gen_random,
     normalize,
     solve_bruteforce,
@@ -343,3 +345,55 @@ def dimdp_completion_reference(inst: Instance) -> SolveOutcome:
     return SolveOutcome(
         algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats
     )
+
+
+def hier_tuple_reference(
+    inst: Instance, u_cap: int | None = None
+) -> tuple[SolveOutcome, tuple[ProfileEntry | None, ...]]:
+    """hier with sorted id tuples as witnesses, merged and compared per cell.
+
+    The same tree and min-plus fold as ``solve_hier``, but every cell holds
+    (cost, sorted ids) and ties are broken by comparing the tuples, so it
+    shares no mask code with the library.  Returns the outcome without its
+    profile, and the profile's entries.
+    """
+    tree = build_hier_tree(inst)
+    scores = approval_scores(inst)
+    total_score = sum(scores.values())
+    cap = total_score if u_cap is None else min(u_cap, total_score)
+    stats = SolveStats()
+
+    def combine(left, right):
+        out = [None] * (min(len(left) + len(right) - 2, cap) + 1)
+        for z1, e1 in enumerate(left):
+            for z2, e2 in enumerate(right):
+                if e1 is None or e2 is None:
+                    continue
+                z = min(z1 + z2, cap)
+                cand = (e1[0] + e2[0], tuple(sorted(e1[1] + e2[1])))
+                if out[z] is None or cand < out[z]:
+                    out[z] = cand
+        return out
+
+    def evaluate(node):
+        if node.project is not None:
+            profile = [(0, ())]
+            z = min(scores[node.project], cap)
+            if z > 0:
+                profile += [None] * (z - 1) + [(node.budget, (node.project,))]
+        else:
+            profile = [(0, ())]
+            for child in node.children:
+                profile = combine(profile, evaluate(child))
+            profile = [None if e is None or e[0] > node.budget else e for e in profile]
+        stats.cells += len(profile)
+        return profile
+
+    entries = tuple(None if e is None else ProfileEntry(cost=e[0], ids=e[1]) for e in evaluate(tree.root))
+    stats.nodes = tree.root.count()
+    top = max(z for z, e in enumerate(entries) if e is not None)
+    ids = entries[top].ids
+    utility = sum(scores[pid] for pid in ids)
+    bundle = Bundle(ids=ids, cost=entries[top].cost, utility=utility)
+    outcome = SolveOutcome(algorithm="hier", utility=utility, bundle=bundle, exact=True, stats=stats)
+    return outcome, entries

@@ -123,20 +123,12 @@ def test_floors_are_rejected():
 def raw_instances(draw):
     """Small instances as written, not normalized: zero-cost and zero-score
     projects, projects too dear for some axis, and often no groups at all.
-
-    A project with zero cost and zero score is drawn with cost 1 instead.
-    Adding it to a bundle changes neither utility nor cost, so it ties two
-    nested bundles, and the solvers break that tie differently (bruteforce
-    keeps the shorter id tuple, dimdp takes the project).
     """
     m = draw(st.integers(0, 12))
     ids = [f"p{i:02d}" for i in range(m)]
     ballots = draw(st.lists(st.sets(st.sampled_from(ids)) if ids else st.just(set()), max_size=4))
     costs = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
-    approved = set().union(*ballots)
-    projects = tuple(
-        Project(id=pid, cost=cost or int(pid not in approved)) for pid, cost in zip(ids, costs)
-    )
+    projects = tuple(Project(id=pid, cost=cost) for pid, cost in zip(ids, costs))
     groups = tuple(
         Group(
             id=f"F{k}",

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,8 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
+
+from conftest import hier_tuple_reference
 
 
 def laminar_instance(seed: int, m=9, n=3, g=4) -> Instance:
@@ -134,3 +139,24 @@ def test_no_groups_is_a_plain_knapsack():
 def test_stats_are_populated(district_pair):
     out = solve_hier(district_pair)
     assert out.stats.nodes >= 3 and out.stats.cells > 0
+
+
+@pytest.mark.parametrize(
+    "shape,m,seed", [("laminar", 100, 12), ("partition", 150, 2), ("laminar", 200, 4), ("partition", 300, 4)]
+)
+def test_matches_tuple_reference_above_bruteforce_sizes(shape, m, seed):
+    # Zero-cost and zero-score projects tie nested bundles unless normalized.
+    raw = gen_random(
+        GenParams(
+            m=m, n=m, g=m // 4, seed=seed, cost_lo=0, approvals_lo=0,
+            family_shape=shape, budget_fraction=Fraction(1, 4),
+        )
+    )
+    for inst in (raw, normalize(raw)[0]):
+        optimum = hier_tuple_reference(inst)[0].utility
+        # Caps of 1 and 3 saturate early, where nested bundles of equal cost tie.
+        for u_cap in (None, optimum, optimum // 2, 1, 3):
+            out = solve_hier(inst, u_cap=u_cap)
+            ref, entries = hier_tuple_reference(inst, u_cap)
+            assert out.profile.entries == entries
+            assert replace(out, profile=None) == ref

@@ -18,6 +18,8 @@ from grouppb import (
     type_min_cost_tables,
 )
 
+from grouppb.profile import at_least, decode
+
 from conftest import build_corpus
 
 
@@ -58,42 +60,43 @@ def brute_type_table(inst, members):
     return [best.get(v) for v in range(top + 1)]
 
 
+def decoded(inst, table):
+    """A profile with its masks decoded to (cost, sorted ids) pairs."""
+    ids = sorted(p.id for p in inst.projects)
+    return [None if e is None else (e[0], decode(e[1], ids)) for e in table]
+
+
 def test_exact_tables_match_subset_enumeration():
     for inst in build_corpus(10, m=8, g=3):
         index = type_index(inst)
-        tables = type_min_cost_tables(inst, index, mode="exact")
-        for entry, table in zip(index.types, tables.tables):
-            assert list(table.entries) == brute_type_table(inst, entry.members)
+        tables = type_min_cost_tables(inst, index)
+        for entry, table in zip(index.types, tables):
+            assert decoded(inst, table) == brute_type_table(inst, entry.members)
 
 
 def test_at_least_tables_are_suffix_minima():
     for inst in build_corpus(10, m=8, g=3, seed0=100):
         index = type_index(inst)
-        exact = type_min_cost_tables(inst, index, mode="exact")
-        atleast = type_min_cost_tables(inst, index, mode="at-least")
-        for ex, al in zip(exact.tables, atleast.tables):
-            assert len(ex.entries) == len(al.entries)
-            for v, got in enumerate(al.entries):
+        for table in type_min_cost_tables(inst, index):
+            ex, al = decoded(inst, table), decoded(inst, at_least(table))
+            assert len(ex) == len(al)
+            for v, got in enumerate(al):
                 assert got is not None
-                suffix = [e for e in ex.entries[v:] if e is not None]
+                suffix = [e for e in ex[v:] if e is not None]
                 assert got == min(suffix)
-            costs = [e[0] for e in al.entries]
+            costs = [e[0] for e in al]
             assert costs == sorted(costs)
 
 
-def test_u_cap_truncates_tables(district_pair):
-    index = type_index(district_pair)
-    full = type_min_cost_tables(district_pair, index)
-    capped = type_min_cost_tables(district_pair, index, u_cap=1)
-    for f, c in zip(full.tables, capped.tables):
-        assert c.entries == f.entries[:2]
-    assert capped.cells() < full.cells()
-
-
-def test_mode_is_validated(district_pair):
-    index = type_index(district_pair)
-    with pytest.raises(ValueError):
-        type_min_cost_tables(district_pair, index, mode="most")
+def test_at_least_tables_break_nested_ties_by_sorted_ids():
+    # Zero-cost projects make nested sub-bundles tie at equal cost.
+    for seed in range(20):
+        inst, _ = normalize(gen_random(GenParams(m=8, n=3, g=2, seed=seed, cost_lo=0, cost_hi=2)))
+        index = type_index(inst)
+        for entry, table in zip(index.types, type_min_cost_tables(inst, index)):
+            exact = brute_type_table(inst, entry.members)
+            suffix_minima = [min(e for e in exact[v:] if e is not None) for v in range(len(exact))]
+            assert decoded(inst, at_least(table)) == suffix_minima
 
 
 def test_decision_agrees_with_oracle_and_is_monotone():
@@ -151,5 +154,5 @@ def test_stats_report_table_cells(district_pair):
     out = solve_types_max(district_pair)
     index = type_index(district_pair)
     tables = type_min_cost_tables(district_pair, index)
-    assert out.stats.cells == tables.cells() > 0
+    assert out.stats.cells == sum(len(t) for t in tables) > 0
     assert out.stats.nodes > 0
