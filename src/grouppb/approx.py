@@ -25,6 +25,7 @@ from .core import (
     make_bundle,
     preference_key,
     require_no_utility_floors,
+    with_idle,
 )
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, LpModel, LpRow, simplex_solve
@@ -185,6 +186,7 @@ def solve_fptas_g(
     rec(0, 0, 0, 0)
     assert best is not None  # skipping everything yields the empty bundle
     assert best.utility == sum(scores[pid] for pid in best.ids)
+    best = with_idle(inst, scores, best)
     return SolveOutcome(
         algorithm="fptas-g",
         utility=best.utility,

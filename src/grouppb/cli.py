@@ -27,6 +27,7 @@ from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
 from .distsolve import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_NODE_CAP,
+    deleted_members,
     min_group_deletion_set,
     min_project_deletion_set,
     solve_group_deletion,
@@ -64,6 +65,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_RESOURCE = 4
+
+# analyze computes the exact layerwidth, a backtracking search, only up to
+# this many groups.
+EXACT_WIDTH_CAP = 12
 
 # Auto policy only commits to a deletion-based solve when the funded-subset
 # enumeration is this small; beyond that the table solvers take over.
@@ -153,14 +158,6 @@ def _has_floors(inst: Instance) -> bool:
     return any(f.min_utility > 0 for f in inst.groups)
 
 
-def _deletion_pool_size(inst: Instance, deleted_group_ids) -> int:
-    by_id = inst.group_map()
-    pool = set()
-    for gid in deleted_group_ids:
-        pool |= set(by_id[gid].members)
-    return len(pool)
-
-
 def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, dict]]:
     """The solvers auto tries, in order, each with its extra info.
 
@@ -179,7 +176,7 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, dict]]:
         options = []
         ganal = min_group_deletion_set(inst.groups, args.depth_cap)
         if ganal.deleted is not None:
-            pool = _deletion_pool_size(inst, ganal.deleted)
+            pool = len(deleted_members(inst, ganal.deleted))
             if 2**pool <= AUTO_ENUM_CAP:
                 options.append((2**pool, 0, "group-del", ganal))
         panal = min_project_deletion_set(inst.groups, args.depth_cap)
@@ -210,25 +207,15 @@ def _run_solver(inst: Instance, algo: str, args, extra: dict):
     if algo == "hier":
         return solve_hier(inst), None
     if algo in ("group-del", "proj-del"):
-        if args.delete is not None:
-            deleted = tuple(args.delete.split(","))
-            info = {"deleted": sorted(set(deleted)), "search_nodes": None}
-        else:
-            analysis = extra.get("analysis")
-            if analysis is None:
-                finder = (
-                    min_group_deletion_set if algo == "group-del" else min_project_deletion_set
-                )
-                analysis = finder(inst.groups, args.depth_cap)
-            if analysis.deleted is None:
-                raise SearchBudgetExceeded(
-                    f"no deletion set of size at most {analysis.depth_cap} exists"
-                )
-            deleted = analysis.deleted
-            info = {"deleted": list(deleted), "search_nodes": analysis.nodes}
-        info["kind"] = "group" if algo == "group-del" else "project"
-        solver = solve_group_deletion if algo == "group-del" else solve_project_deletion
-        return solver(inst, deleted, node_cap=args.node_cap), info
+        kind, finder, solver = {
+            "group-del": ("group", min_group_deletion_set, solve_group_deletion),
+            "proj-del": ("project", min_project_deletion_set, solve_project_deletion),
+        }[algo]
+        analysis = extra.get("analysis") or finder(inst.groups, args.depth_cap)
+        if analysis.deleted is None:
+            raise SearchBudgetExceeded(f"no deletion set of size at most {analysis.depth_cap} exists")
+        info = {"deleted": list(analysis.deleted), "kind": kind, "search_nodes": analysis.nodes}
+        return solver(inst, analysis.deleted, node_cap=args.node_cap), info
     if algo == "types":
         return solve_types_max(inst, node_cap=args.node_cap), None
     if algo == "dimdp":
@@ -338,7 +325,7 @@ def cmd_analyze(args) -> int:
     two = two_layer_decomposition(inst.groups)
     greedy = greedy_layers(inst.groups)
     exact_width = None
-    if stats.g <= args.exact_width_cap:
+    if stats.g <= EXACT_WIDTH_CAP:
         exact_width = exact_layerwidth(inst.groups)
     else:
         notes.append("exact layerwidth skipped: too many groups")
@@ -439,6 +426,13 @@ def cmd_export_milp(args) -> int:
     return EXIT_OK
 
 
+def _target(text: str) -> int:
+    """A --decision-u value: a whole number of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 0, not {text!r}")
+    return int(text)
+
+
 def _add_cap_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     parser.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
@@ -463,12 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accuracy for fptas-g, e.g. 1/2 or 0.25",
     )
     p_solve.add_argument(
-        "--decision-u", type=int, default=None, help="ask for utility at least this"
-    )
-    p_solve.add_argument(
-        "--delete",
-        default=None,
-        help="comma separated ids to delete for group-del or proj-del",
+        "--decision-u", type=_target, default=None, help="ask for utility at least this"
     )
     p_solve.add_argument("--profile", action="store_true", help="include the cost profile")
     p_solve.add_argument("-o", "--output", default=None)
@@ -483,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="report structure of the group family")
     p_analyze.add_argument("instance")
-    p_analyze.add_argument("--exact-width-cap", type=int, default=12)
     p_analyze.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     p_analyze.add_argument("-o", "--output", default=None)
     p_analyze.set_defaults(func=cmd_analyze)

@@ -166,6 +166,24 @@ def approval_scores(inst: Instance) -> dict[str, int]:
     return scores
 
 
+def with_idle(inst: Instance, scores: dict[str, int], bundle: Bundle) -> Bundle:
+    """The bundle with the idle projects that make its sorted id tuple smallest.
+
+    An idle project costs 0 and has score 0, so adding one changes no cost,
+    no utility and no budget.  It makes the id tuple smaller when it sorts
+    before the bundle's last other project, and longer, so larger, after it.
+    So add every idle project, then drop the trailing run of them.  The
+    result depends only on the bundle's other projects and keeps their tuple
+    order, so a solver that never takes an idle project gets the canonical
+    witness by applying this to its own.
+    """
+    idle = {p.id for p in inst.projects if not p.cost and not scores[p.id]}
+    ids = sorted(set(bundle.ids) | idle)
+    while ids and ids[-1] in idle:
+        ids.pop()
+    return Bundle(ids=tuple(ids), cost=bundle.cost, utility=bundle.utility)
+
+
 def derived_stats(inst: Instance) -> DerivedStats:
     total = sum(approval_scores(inst).values())
     return DerivedStats(

@@ -27,7 +27,8 @@ only, which is exact because a cell depends only on the cells at or below it.
 
 Where the walk's bundle and another optimum first differ, the walk's holds
 the project, so the smaller id tuple can only be a proper prefix of it: the
-walk drops its trailing run of projects that cost 0 and score 0.
+walk takes every idle project (cost 0, score 0), and core.with_idle drops
+the trailing run of them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     SolveStats,
     approval_scores,
     require_no_utility_floors,
+    with_idle,
 )
 from .errors import TableTooLarge
 from .typesolve import type_index
@@ -131,11 +133,8 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
             u_rem -= score
             c_rem -= cost
     assert u_rem == 0 and c_rem == 0
-    idle = {pid for pid, cost, score, _ in usable if not cost and not score}
-    while chosen and chosen[-1] in idle:
-        chosen.pop()  # a proper prefix is the smaller id tuple
 
-    bundle = Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility)
+    bundle = with_idle(inst, scores, Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility))
     stats = SolveStats(nodes=n * cells, cells=cells)
     return SolveOutcome(
         algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats

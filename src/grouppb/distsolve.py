@@ -36,49 +36,64 @@ DEFAULT_NODE_CAP = 10_000_000
 class DeletionAnalysis:
     """Outcome of a minimum-deletion search.
 
-    deleted is None when no deletion set within depth_cap exists; then
-    search_budget_hit is True.  Otherwise deleted is the minimum-size set,
-    lexicographically smallest among those of minimum size.
+    deleted is None when no deletion set within depth_cap exists.  Otherwise
+    it is the minimum-size set, lexicographically smallest among those of
+    minimum size.
     """
 
     deleted: tuple[str, ...] | None
     depth_cap: int
     nodes: int
-    search_budget_hit: bool
+
+    @property
+    def search_budget_hit(self) -> bool:
+        return self.deleted is None
+
+
+def _min_deletion(pieces, depth_cap: int) -> DeletionAnalysis:
+    """Iterative deepening over the pieces one of which must be deleted.
+
+    pieces(deleted) is None when deleting that set leaves a hierarchical
+    family, else the nonempty sets, disjoint from deleted, one of which any
+    repair must delete.  At the first depth (total deleted size) with any
+    solution, all solutions of that depth are collected and the
+    lexicographically smallest is returned.  Every one has size exactly that
+    depth: a smaller one would have been found at an earlier depth.
+    """
+    nodes = 0
+    for k in range(0, depth_cap + 1):
+        found: list[tuple[str, ...]] = []
+
+        def search(deleted: frozenset[str]) -> None:
+            nonlocal nodes
+            nodes += 1
+            options = pieces(deleted)
+            if options is None:
+                found.append(tuple(sorted(deleted)))
+                return
+            for piece in options:
+                if len(deleted) + len(piece) <= k:
+                    search(deleted | piece)
+
+        search(frozenset())
+        if found:
+            return DeletionAnalysis(deleted=min(found), depth_cap=depth_cap, nodes=nodes)
+    return DeletionAnalysis(deleted=None, depth_cap=depth_cap, nodes=nodes)
 
 
 def min_group_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> DeletionAnalysis:
     """Fewest groups whose removal leaves a hierarchical family.
 
-    Iterative deepening over two-way branching: a conflicting pair can only
-    be repaired by deleting one of its two groups.  At the first depth with
-    any solution, all solutions of that depth are collected and the
-    lexicographically smallest is returned.
+    Two-way branching: a conflicting pair can only be repaired by deleting
+    one of its two groups.
     """
     member_sets = {f.id: f.members for f in groups}
-    nodes = 0
 
-    for k in range(0, depth_cap + 1):
-        found: list[tuple[str, ...]] = []
+    def pieces(deleted):
+        pair = crossing_pair({g: s for g, s in member_sets.items() if g not in deleted})
+        return None if pair is None else [frozenset({gid}) for gid in pair]
 
-        def search(deleted: frozenset[str], left: int) -> None:
-            nonlocal nodes
-            nodes += 1
-            pair = crossing_pair({g: s for g, s in member_sets.items() if g not in deleted})
-            if pair is None:
-                found.append(tuple(sorted(deleted)))
-                return
-            if left == 0:
-                return
-            for gid in pair:
-                search(deleted | {gid}, left - 1)
-
-        search(frozenset(), k)
-        if found:
-            return DeletionAnalysis(
-                deleted=min(found), depth_cap=depth_cap, nodes=nodes, search_budget_hit=False
-            )
-    return DeletionAnalysis(deleted=None, depth_cap=depth_cap, nodes=nodes, search_budget_hit=True)
+    return _min_deletion(pieces, depth_cap)
 
 
 def min_project_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> DeletionAnalysis:
@@ -88,52 +103,43 @@ def min_project_deletion_set(groups, depth_cap: int = DEFAULT_DEPTH_CAP) -> Dele
     the two differences must be deleted in full.
     """
     original = {f.id: f.members for f in groups}
-    nodes = 0
 
-    for k in range(0, depth_cap + 1):
-        found: list[tuple[str, ...]] = []
+    def pieces(deleted):
+        current = {g: s - deleted for g, s in original.items()}
+        pair = crossing_pair(current)
+        if pair is None:
+            return None
+        a, b = current[pair[0]], current[pair[1]]
+        return [a & b, a - b, b - a]
 
-        def search(deleted: frozenset[str], left: int) -> None:
-            nonlocal nodes
-            nodes += 1
-            current = {g: s - deleted for g, s in original.items()}
-            pair = crossing_pair(current)
-            if pair is None:
-                found.append(tuple(sorted(deleted)))
-                return
-            a, b = current[pair[0]], current[pair[1]]
-            for piece in (a & b, a - b, b - a):
-                if len(piece) <= left:
-                    search(deleted | piece, left - len(piece))
+    return _min_deletion(pieces, depth_cap)
 
-        search(frozenset(), k)
-        if found:
-            # Every solution here has size exactly k: a smaller one would
-            # have been reachable, and found, at an earlier depth.
-            return DeletionAnalysis(
-                deleted=min(found), depth_cap=depth_cap, nodes=nodes, search_budget_hit=False
-            )
-    return DeletionAnalysis(deleted=None, depth_cap=depth_cap, nodes=nodes, search_budget_hit=True)
+
+def deleted_members(inst: Instance, deleted_group_ids) -> tuple[str, ...]:
+    """The sorted union of the members of the given groups."""
+    by_id = inst.group_map()
+    return tuple(sorted(set().union(*(by_id[gid].members for gid in deleted_group_ids))))
 
 
 def _restricted_instance(
     inst: Instance,
     keep_projects: frozenset[str],
-    kept_groups: list[tuple[Group, int]],
+    group_budgets: list[tuple[Group, int]],
     budget: int,
 ) -> Instance:
     """Sub-instance over keep_projects with already-reduced group budgets.
 
-    Groups restricting to the same member set merge under the smallest
-    budget, which preserves the conjunction of their constraints and keeps
-    the family free of duplicate sets.
+    Groups with no member left drop out.  Groups restricting to the same
+    member set merge under the smallest budget, which preserves the
+    conjunction of their constraints and keeps the family free of duplicate
+    sets.
     """
     projects = tuple(p for p in inst.projects if p.id in keep_projects)
     voters = tuple(
         Voter(id=v.id, approves=frozenset(v.approves & keep_projects)) for v in inst.voters
     )
     reduced: dict[frozenset[str], tuple[str, int]] = {}
-    for f, new_budget in kept_groups:
+    for f, new_budget in group_budgets:
         members = f.members & keep_projects
         if not members:
             continue
@@ -147,45 +153,32 @@ def _restricted_instance(
 
 
 def _enumerate_and_solve(
-    inst: Instance,
-    funded_pool: tuple[str, ...],
-    deleted_groups: list[Group],
-    kept_groups: list[Group],
-    algorithm: str,
-    node_cap: int,
+    inst: Instance, pool: tuple[str, ...], algorithm: str, node_cap: int
 ) -> SolveOutcome:
-    """Try every funded subset of the pool, solve the hierarchical rest, keep the best."""
-    if 2 ** len(funded_pool) > node_cap:
-        raise SearchBudgetExceeded(
-            f"2^{len(funded_pool)} funded subsets exceed the node cap of {node_cap}"
-        )
+    """Try every funded subset of the pool, solve the hierarchical rest, keep the best.
+
+    Each subset is charged against the global budget and every group budget;
+    the projects outside the pool must form a hierarchical family.
+    """
+    if 2 ** len(pool) > node_cap:
+        raise SearchBudgetExceeded(f"2^{len(pool)} funded subsets exceed the node cap of {node_cap}")
     cost = {p.id: p.cost for p in inst.projects}
     scores = approval_scores(inst)
-    remainder = frozenset(cost) - set(funded_pool)
+    remainder = frozenset(cost) - set(pool)
 
     stats = SolveStats()
     best: Bundle | None = None
-    pool = list(funded_pool)
     for mask in range(2 ** len(pool)):
         stats.nodes += 1
         chosen = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
         spent = sum(cost[pid] for pid in chosen)
         if spent > inst.budget:
             continue
-        if any(sum(cost[p] for p in f.members & chosen) > f.budget for f in deleted_groups):
-            continue
-        kept_reduced = []
-        feasible = True
-        for f in kept_groups:
-            inside = sum(cost[p] for p in f.members & chosen)
-            if inside > f.budget:
-                feasible = False
-                break
-            kept_reduced.append((f, f.budget - inside))
-        if not feasible:
+        rooms = [(f, f.budget - sum(cost[p] for p in f.members & chosen)) for f in inst.groups]
+        if any(room < 0 for _, room in rooms):
             continue
 
-        sub = _restricted_instance(inst, remainder, kept_reduced, inst.budget - spent)
+        sub = _restricted_instance(inst, remainder, rooms, inst.budget - spent)
         outcome = solve_hier(sub)
         stats.cells += outcome.stats.cells
         ids = tuple(sorted(chosen | set(outcome.bundle.ids)))
@@ -209,23 +202,20 @@ def solve_group_deletion(
     """Exact solve given groups whose removal makes the family hierarchical.
 
     Every subset of the deleted groups' members is tried as the funded part
-    inside those groups; the deleted groups' budgets are checked on it
-    directly (no remaining project can touch them), all other budgets are
-    charged, and the remainder is solved via the hierarchy tree.
+    inside those groups, as proj-del would with those members deleted: no
+    remaining project touches a deleted group, so its budget is checked on
+    the funded part alone, and the remainder is solved via the hierarchy
+    tree.
     """
     require_no_utility_floors(inst)
     by_id = inst.group_map()
-    deleted = sorted(set(deleted_group_ids))
-    unknown = [gid for gid in deleted if gid not in by_id]
+    deleted = set(deleted_group_ids)
+    unknown = sorted(deleted - set(by_id))
     if unknown:
         raise InvalidDeletion(f"unknown group ids: {', '.join(unknown)}")
-    deleted_groups = [by_id[gid] for gid in deleted]
-    kept_groups = [f for f in inst.groups if f.id not in set(deleted)]
-    if crossing_pair({f.id: f.members for f in kept_groups}) is not None:
+    if crossing_pair({f.id: f.members for f in inst.groups if f.id not in deleted}) is not None:
         raise InvalidDeletion("remaining family is not hierarchical")
-
-    pool = tuple(sorted(set().union(*[f.members for f in deleted_groups]) if deleted_groups else set()))
-    return _enumerate_and_solve(inst, pool, deleted_groups, kept_groups, "group-del", node_cap)
+    return _enumerate_and_solve(inst, deleted_members(inst, deleted), "group-del", node_cap)
 
 
 def solve_project_deletion(
@@ -246,7 +236,4 @@ def solve_project_deletion(
     removed = frozenset(deleted)
     if crossing_pair({f.id: f.members - removed for f in inst.groups}) is not None:
         raise InvalidDeletion("remaining family is not hierarchical")
-
-    return _enumerate_and_solve(
-        inst, tuple(deleted), [], list(inst.groups), "proj-del", node_cap
-    )
+    return _enumerate_and_solve(inst, tuple(deleted), "proj-del", node_cap)

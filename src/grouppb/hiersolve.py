@@ -16,16 +16,16 @@ from dataclasses import dataclass
 
 from .core import (
     Bundle,
-    Group,
     Instance,
     SolveOutcome,
     SolveStats,
     UtilityCostProfile,
     approval_scores,
     require_no_utility_floors,
+    with_idle,
 )
 from .errors import NotHierarchical
-from .layers import is_hierarchical
+from .layers import is_hierarchical, laminar_forest
 from .profile import Cell, combine, cut, item, rank_bits
 
 
@@ -50,49 +50,32 @@ class HierTree:
 def build_hier_tree(inst: Instance) -> HierTree:
     """Arrange a hierarchical family into the budget tree described above.
 
-    Empty groups impose nothing on any bundle and are left out.  Raises
-    NotHierarchical when some pair of groups overlaps without nesting (which
-    includes duplicate member sets; normalize first).
+    A node's children are its child groups in id order, then its uncovered
+    projects in id order.  Empty groups impose nothing on any bundle and are
+    left out.  Raises NotHierarchical when some pair of groups overlaps
+    without nesting (which includes duplicate member sets; normalize first).
     """
-    groups = [f for f in inst.groups if f.members]
     if not is_hierarchical(inst.groups):
         raise NotHierarchical("the group family has conflicting overlaps")
-
+    parents, owner = laminar_forest(inst.groups)
+    budget = {f.id: f.budget for f in inst.groups}
     cost = {p.id: p.cost for p in inst.projects}
-    universe = frozenset(cost)
+    groups_under: dict[str | None, list[str]] = {}
+    for gid in sorted(parents):
+        groups_under.setdefault(parents[gid], []).append(gid)
+    projects_under: dict[str | None, list[str]] = {}
+    for pid in sorted(cost):
+        projects_under.setdefault(owner.get(pid), []).append(pid)
 
-    def build_children(members: frozenset[str], candidates: list[Group]) -> tuple[HierNode, ...]:
-        # Maximal candidate groups become child nodes; they are pairwise
-        # disjoint because the family is hierarchical.
-        by_size = sorted(candidates, key=lambda f: (-len(f.members), f.id))
-        maximal: list[Group] = []
-        for f in by_size:
-            if not any(f.members < other.members for other in maximal):
-                maximal.append(f)
-        nodes = []
-        covered: set[str] = set()
-        for f in sorted(maximal, key=lambda f: f.id):
-            inner = [f2 for f2 in candidates if f2.members < f.members]
-            nodes.append(
-                HierNode(
-                    label=f.id,
-                    project=None,
-                    budget=f.budget,
-                    children=build_children(f.members, inner),
-                )
-            )
-            covered |= f.members
-        for pid in sorted(members - covered):
-            nodes.append(HierNode(label=None, project=pid, budget=cost[pid], children=()))
-        return tuple(nodes)
+    def build(label: str | None, limit: int) -> HierNode:
+        groups = tuple(build(gid, budget[gid]) for gid in groups_under.get(label, ()))
+        leaves = tuple(
+            HierNode(label=None, project=pid, budget=cost[pid], children=())
+            for pid in projects_under.get(label, ())
+        )
+        return HierNode(label=label, project=None, budget=limit, children=groups + leaves)
 
-    root = HierNode(
-        label=None,
-        project=None,
-        budget=inst.budget,
-        children=build_children(universe, groups),
-    )
-    return HierTree(root=root)
+    return HierTree(root=build(None, inst.budget))
 
 
 def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
@@ -130,7 +113,7 @@ def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
     assert top is not None  # the empty bundle always survives
     z, entry = top
     true_utility = sum(scores[pid] for pid in entry.ids)
-    bundle = Bundle(ids=entry.ids, cost=entry.cost, utility=true_utility)
+    bundle = with_idle(inst, scores, Bundle(ids=entry.ids, cost=entry.cost, utility=true_utility))
     return SolveOutcome(
         algorithm="hier",
         utility=true_utility,

@@ -141,13 +141,32 @@ def two_layer_decomposition(groups: Sequence[Group]) -> LayerDecomposition | Non
     return LayerDecomposition(layers=(first, second))
 
 
+def laminar_forest(groups: Sequence[Group]) -> tuple[dict[str, str | None], dict[str, str]]:
+    """The containment forest of a hierarchical family, in one pass.
+
+    Returns (parents, owner).  parents maps each nonempty group to its
+    minimal strict superset, or None; owner maps each project some group
+    holds to its smallest group.  The groups are visited largest first (ties
+    by id), and each project remembers the last group that held it.  In a
+    hierarchical family every group visited earlier that meets a group is a
+    strict superset of it, and those supersets form a chain visited from the
+    largest down, so any member remembers the minimal one.
+    """
+    parents: dict[str, str | None] = {}
+    owner: dict[str, str] = {}
+    for f in sorted((f for f in groups if f.members), key=lambda f: (-len(f.members), f.id)):
+        parents[f.id] = owner.get(next(iter(f.members)))
+        owner.update(dict.fromkeys(f.members, f.id))
+    return parents, owner
+
+
 def ordered_hier_layers(groups: Sequence[Group], universe: frozenset[str]) -> OrderedLayers:
     """Layer a hierarchical family so each group lies under a layer-above superset.
 
     The universe (all projects) acts as the root; when no group equals it, the
-    root is virtual.  Groups land at the depth of their chain of strict
-    supersets, found by depth-first search from the root that visits sets in
-    decreasing-size order, so each group attaches under its minimal superset.
+    root is virtual.  Each group lands one layer below its minimal strict
+    superset (laminar_forest), and a group without one lands just below the
+    root.
     """
     if not is_hierarchical(groups):
         raise NotHierarchical("ordered layering needs a hierarchical family")
@@ -155,34 +174,17 @@ def ordered_hier_layers(groups: Sequence[Group], universe: frozenset[str]) -> Or
         if not f.members <= universe:
             raise ValueError(f"group {f.id} reaches outside the universe")
 
-    root_id = None
-    for f in groups:
-        if f.members == universe:
-            root_id = f.id
-            break
-
-    # Decreasing-size order is a topological order of strict containment, so
-    # each group's parent (its minimal strict superset) is placed before it.
-    ordered = sorted(groups, key=lambda f: (-len(f.members), f.id))
+    root_id = next((f.id for f in groups if f.members == universe), None)
+    parents, _ = laminar_forest(groups)
     depth: dict[str, int] = {}
-    for f in ordered:
-        if f.id == root_id:
-            depth[f.id] = 0
-            continue
+    for gid, parent in parents.items():  # largest first: parents come before children
+        depth[gid] = 0 if gid == root_id else depth.get(parent, 0) + 1
+    for f in groups:
         if not f.members:
             # An empty group intersects nothing, so it never needs a layer of
             # its own: it shares the real root's layer when there is one, and
             # otherwise sits directly under the virtual root.
             depth[f.id] = 0 if root_id is not None else 1
-            continue
-        parent_depth = 0
-        parent_size = None
-        for f2 in ordered:
-            if f2.id != f.id and f.members < f2.members:
-                if parent_size is None or len(f2.members) < parent_size:
-                    parent_size = len(f2.members)
-                    parent_depth = depth[f2.id]
-        depth[f.id] = parent_depth + 1
 
     if not depth:
         return OrderedLayers(layers=(), root_virtual=root_id is None)

@@ -23,6 +23,7 @@ from .core import (
     approval_scores,
     preference_key,
     require_no_utility_floors,
+    with_idle,
 )
 from .errors import SearchBudgetExceeded
 from .profile import Cell, at_least, combine, decode, item, rank_bits
@@ -191,4 +192,5 @@ def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOu
 
     best = _enumerate_allocations(inst, index, tables, lo, node_cap, stats, collect_best=True)
     assert best is not None and best.utility == lo
+    best = with_idle(inst, approval_scores(inst), best)
     return SolveOutcome(algorithm="types", utility=lo, bundle=best, exact=True, stats=stats)

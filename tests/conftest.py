@@ -12,13 +12,18 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from grouppb import (
     BasicSolution,
     Bundle,
     GenParams,
     Group,
+    HierNode,
+    HierTree,
     Instance,
+    NotHierarchical,
+    OrderedLayers,
     Project,
     TooLarge,
     Voter,
@@ -30,6 +35,7 @@ from grouppb import (
     approval_scores,
     build_hier_tree,
     gen_random,
+    is_hierarchical,
     normalize,
     solve_bruteforce,
     type_index,
@@ -82,6 +88,114 @@ def crossing_pairs(member_sets: list[frozenset]) -> bool:
             if common and common != a and common != b:
                 return True
     return False
+
+
+@st.composite
+def raw_instances(draw, laminar: bool = False):
+    """Small instances as written, not normalized: zero-cost and zero-score
+    projects, projects too dear for some axis, and often no groups at all.
+
+    With laminar, the groups are intervals of one random project order that
+    cross no other, so the family is hierarchical; empty groups and a group
+    equal to the universe both occur.
+    """
+    m = draw(st.integers(0, 12))
+    ids = [f"p{i:02d}" for i in range(m)]
+    ballots = draw(st.lists(st.sets(st.sampled_from(ids)) if ids else st.just(set()), max_size=4))
+    costs = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    projects = tuple(Project(id=pid, cost=cost) for pid, cost in zip(ids, costs))
+    member_sets: list[frozenset] = []
+    if laminar:
+        order = draw(st.permutations(ids))
+        for _ in range(draw(st.integers(0, 5))):
+            lo = draw(st.integers(0, m))
+            members = frozenset(order[lo : draw(st.integers(lo, m))])
+            if not (members and members in member_sets) and not crossing_pairs(member_sets + [members]):
+                member_sets.append(members)
+    elif ids:
+        member_sets = [frozenset(draw(st.sets(st.sampled_from(ids)))) for _ in range(draw(st.integers(0, 3)))]
+    groups = tuple(
+        Group(id=f"F{k}", members=members, budget=draw(st.integers(0, 8)))
+        for k, members in enumerate(member_sets)
+    )
+    return validate_instance(
+        Instance(
+            budget=draw(st.integers(0, 12)),
+            projects=projects,
+            voters=tuple(Voter(id=f"v{i}", approves=frozenset(b)) for i, b in enumerate(ballots)),
+            groups=groups,
+        )
+    )
+
+
+def hier_tree_reference(inst: Instance) -> HierTree:
+    """hier's budget tree by rescanning for maximal groups at every level.
+
+    Each node's children are its maximal candidate groups in id order, each
+    built from the candidates strictly inside it, then its uncovered
+    projects in id order.
+    """
+    groups = [f for f in inst.groups if f.members]
+    if not is_hierarchical(inst.groups):
+        raise NotHierarchical("the group family has conflicting overlaps")
+    cost = {p.id: p.cost for p in inst.projects}
+
+    def build_children(members, candidates):
+        by_size = sorted(candidates, key=lambda f: (-len(f.members), f.id))
+        maximal = []
+        for f in by_size:
+            if not any(f.members < other.members for other in maximal):
+                maximal.append(f)
+        nodes = []
+        covered = set()
+        for f in sorted(maximal, key=lambda f: f.id):
+            inner = [f2 for f2 in candidates if f2.members < f.members]
+            nodes.append(HierNode(label=f.id, project=None, budget=f.budget, children=build_children(f.members, inner)))
+            covered |= f.members
+        for pid in sorted(members - covered):
+            nodes.append(HierNode(label=None, project=pid, budget=cost[pid], children=()))
+        return tuple(nodes)
+
+    children = build_children(frozenset(cost), groups)
+    return HierTree(root=HierNode(label=None, project=None, budget=inst.budget, children=children))
+
+
+def ordered_layers_reference(groups, universe: frozenset) -> OrderedLayers:
+    """Ordered layers with each group's parent found by a scan over all groups.
+
+    A group sits one layer below its smallest strict superset, or just below
+    the root; the group equal to the universe, if any, is the root at layer
+    0; an empty group shares the root's layer, or sits just below a virtual
+    root.
+    """
+    if not is_hierarchical(groups):
+        raise NotHierarchical("ordered layering needs a hierarchical family")
+    for f in groups:
+        if not f.members <= universe:
+            raise ValueError(f"group {f.id} reaches outside the universe")
+    root_id = next((f.id for f in groups if f.members == universe), None)
+    ordered = sorted(groups, key=lambda f: (-len(f.members), f.id))
+    depth = {}
+    for f in ordered:
+        if f.id == root_id:
+            depth[f.id] = 0
+        elif not f.members:
+            depth[f.id] = 0 if root_id is not None else 1
+        else:
+            parent_depth, parent_size = 0, None
+            for f2 in ordered:
+                if f2.id != f.id and f.members < f2.members:
+                    if parent_size is None or len(f2.members) < parent_size:
+                        parent_size, parent_depth = len(f2.members), depth[f2.id]
+            depth[f.id] = parent_depth + 1
+    if not depth:
+        return OrderedLayers(layers=(), root_virtual=root_id is None)
+    top = max(depth.values())
+    layers = tuple(
+        tuple(sorted(gid for gid, d in depth.items() if d == level))
+        for level in range(0 if root_id is not None else 1, top + 1)
+    )
+    return OrderedLayers(layers=layers, root_virtual=root_id is None and any(f.members for f in groups))
 
 
 def exhaustive_group_deletion_min(groups) -> tuple[int, tuple[str, ...]]:
@@ -355,7 +469,8 @@ def hier_tuple_reference(
     The same tree and min-plus fold as ``solve_hier``, but every cell holds
     (cost, sorted ids) and ties are broken by comparing the tuples, so it
     shares no mask code with the library.  Returns the outcome without its
-    profile, and the profile's entries.
+    profile, and the profile's entries, whose witnesses hold no project of
+    cost 0 and score 0.
     """
     tree = build_hier_tree(inst)
     scores = approval_scores(inst)
@@ -394,6 +509,10 @@ def hier_tuple_reference(
     top = max(z for z, e in enumerate(entries) if e is not None)
     ids = entries[top].ids
     utility = sum(scores[pid] for pid in ids)
+    # Projects of cost 0 and score 0 never enter a cell; the witness takes
+    # those that sort before its last project, which shortens no tuple.
+    idle = {p.id for p in inst.projects if not p.cost and not scores[p.id]}
+    ids = tuple(sorted(set(ids) | {pid for pid in idle if ids and pid < ids[-1]}))
     bundle = Bundle(ids=ids, cost=entries[top].cost, utility=utility)
     outcome = SolveOutcome(algorithm="hier", utility=utility, bundle=bundle, exact=True, stats=stats)
     return outcome, entries

@@ -23,7 +23,7 @@ from grouppb import (
 )
 from grouppb.approx import _bucket_candidates
 
-from conftest import build_corpus
+from conftest import build_corpus, raw_instances
 
 F = Fraction
 
@@ -146,3 +146,15 @@ def test_fptas_never_beats_the_optimum(seed):
     inst, _ = normalize(inst)
     out = solve_fptas_g(inst, F(1, 2))
     assert out.utility <= solve_bruteforce(inst).optimum
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_instances())
+def test_fptas_below_one_over_the_total_score_matches_oracle_as_written(inst):
+    # Every utility bucket then holds one utility, so the scan is exhaustive;
+    # projects of cost 0 and score 0 join the witness before its last project.
+    total = sum(len(v.approves) for v in inst.voters)
+    oracle = solve_bruteforce(inst)
+    out = solve_fptas_g(inst, F(1, total + 1))
+    assert out.utility == oracle.optimum
+    assert out.bundle == oracle.witness

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -16,7 +17,7 @@ from grouppb import (
     solve_bruteforce,
     validate_instance,
 )
-from grouppb.cli import main
+from grouppb.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 DISTRICT = str(GOLDEN / "district_pair.json")
@@ -165,6 +166,14 @@ def test_decision_unsatisfiable_exits_negative(capsys):
     payload = json.loads(out)
     assert payload["decision"]["satisfiable"] is False
     assert payload["bundle"] is None
+
+
+@pytest.mark.parametrize("algo", ["auto", "bruteforce", "hier", "types"])
+def test_decision_rejects_a_negative_target(capsys, algo):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", DISTRICT, "--decision-u", "-2", "--algo", algo])
+    assert exc.value.code == 2
+    assert "--decision-u" in capsys.readouterr().err
 
 
 def test_decision_rejects_approximate_algos(capsys):
@@ -429,6 +438,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+def _options(command: str) -> set[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+
+
+def test_solve_and_analyze_options_are_pinned():
+    # A knob added or removed here shows up in review as a change to this test.
+    assert _options("solve") == {
+        "-h", "--help", "--algo", "--epsilon", "--decision-u", "--profile", "-o", "--output",
+        "--node-cap", "--cell-cap", "--depth-cap",
+    }
+    assert _options("analyze") == {"-h", "--help", "--depth-cap", "-o", "--output"}
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

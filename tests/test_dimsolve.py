@@ -17,7 +17,7 @@ from grouppb import (
     validate_instance,
 )
 
-from conftest import build_corpus, dimdp_completion_reference
+from conftest import build_corpus, dimdp_completion_reference, raw_instances
 
 
 def test_table_cells_is_product_of_axis_sizes(district_pair):
@@ -117,34 +117,6 @@ def test_floors_are_rejected():
     )
     with pytest.raises(UtilityFloorsUnsupported):
         solve_dimdp(inst)
-
-
-@st.composite
-def raw_instances(draw):
-    """Small instances as written, not normalized: zero-cost and zero-score
-    projects, projects too dear for some axis, and often no groups at all.
-    """
-    m = draw(st.integers(0, 12))
-    ids = [f"p{i:02d}" for i in range(m)]
-    ballots = draw(st.lists(st.sets(st.sampled_from(ids)) if ids else st.just(set()), max_size=4))
-    costs = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
-    projects = tuple(Project(id=pid, cost=cost) for pid, cost in zip(ids, costs))
-    groups = tuple(
-        Group(
-            id=f"F{k}",
-            members=frozenset(draw(st.sets(st.sampled_from(ids)))),
-            budget=draw(st.integers(0, 8)),
-        )
-        for k in range(draw(st.integers(0, 3) if ids else st.just(0)))
-    )
-    return validate_instance(
-        Instance(
-            budget=draw(st.integers(0, 12)),
-            projects=projects,
-            voters=tuple(Voter(id=f"v{i}", approves=frozenset(b)) for i, b in enumerate(ballots)),
-            groups=groups,
-        )
-    )
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from grouppb import (
     solve_group_deletion,
     solve_project_deletion,
 )
+from grouppb.distsolve import deleted_members
 
 from conftest import (
     add_crossing_group,
@@ -92,6 +95,14 @@ def test_project_deletion_solver_equals_oracle():
         assert out.utility == oracle.optimum
         assert out.bundle == oracle.witness
         assert out.algorithm == "proj-del"
+
+
+def test_group_deletion_is_project_deletion_of_the_members():
+    for inst in crossing_corpus(30, seed0=300):
+        for gids in (min_group_deletion_set(inst.groups).deleted, [f.id for f in inst.groups]):
+            by_groups = solve_group_deletion(inst, gids)
+            by_projects = solve_project_deletion(inst, deleted_members(inst, gids))
+            assert replace(by_groups, algorithm="proj-del") == by_projects
 
 
 def test_planted_crossings_have_small_distance():

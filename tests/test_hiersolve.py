@@ -20,7 +20,7 @@ from grouppb import (
     validate_instance,
 )
 
-from conftest import hier_tuple_reference
+from conftest import hier_tree_reference, hier_tuple_reference, raw_instances
 
 
 def laminar_instance(seed: int, m=9, n=3, g=4) -> Instance:
@@ -116,6 +116,40 @@ def test_capped_axis_answers_decision_queries(seed, target):
     if satisfiable and target > 0:
         report = check_bundle(inst, out.bundle.ids)
         assert report.feasible and report.utility >= target
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instances(laminar=True))
+def test_matches_oracle_without_normalizing(inst):
+    # Projects of cost 0 and score 0 join the witness before its last project.
+    oracle = solve_bruteforce(inst)
+    out = solve_hier(inst)
+    assert out.utility == oracle.optimum
+    assert out.bundle == oracle.witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["laminar", "partition"]),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_tree_matches_the_maximal_group_scan(seed, shape, empties, universe):
+    inst = gen_random(GenParams(m=12, n=3, g=6, seed=seed, family_shape=shape))
+    inst, _ = normalize(inst)
+    extra = [Group(id=f"E{k}", members=frozenset(), budget=k) for k in range(empties)]
+    everything = frozenset(p.id for p in inst.projects)
+    if universe and all(f.members != everything for f in inst.groups):
+        extra.append(Group(id="U", members=everything, budget=inst.budget // 2))
+    inst = replace(inst, groups=inst.groups + tuple(extra))
+    assert build_hier_tree(inst) == hier_tree_reference(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_instances(laminar=True))
+def test_tree_matches_the_maximal_group_scan_as_written(inst):
+    assert build_hier_tree(inst) == hier_tree_reference(inst)
 
 
 def test_no_groups_is_a_plain_knapsack():

@@ -18,9 +18,9 @@ from grouppb import (
     ordered_hier_layers,
     two_layer_decomposition,
 )
-from grouppb.layers import crossing_pair
+from grouppb.layers import crossing_pair, laminar_forest
 
-from conftest import build_corpus, crossing_pairs
+from conftest import build_corpus, crossing_pairs, ordered_layers_reference, raw_instances
 
 
 def G(i, *members, budget=1):
@@ -140,6 +140,37 @@ def test_ordered_layers_parks_empty_groups_under_the_root():
     assert is_valid_decomposition(deep, layers2.layers)
     augmented = deep + [Group(id="_root", members=frozenset("abcd"), budget=1)]
     assert exact_layerwidth(augmented) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["laminar", "partition"]),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_ordered_layers_match_the_superset_scan(seed, shape, empties, universe):
+    inst, _ = normalize(gen_random(GenParams(m=12, n=3, g=6, seed=seed, family_shape=shape)))
+    everything = frozenset(p.id for p in inst.projects)
+    fam = list(inst.groups) + [G(10 + k) for k in range(empties)]
+    if universe and all(f.members != everything for f in fam):
+        fam.append(Group(id="U", members=everything, budget=1))
+    assert ordered_hier_layers(fam, everything) == ordered_layers_reference(fam, everything)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_instances(laminar=True))
+def test_ordered_layers_match_the_superset_scan_as_written(inst):
+    everything = frozenset(p.id for p in inst.projects)
+    expected = ordered_layers_reference(inst.groups, everything)
+    assert ordered_hier_layers(inst.groups, everything) == expected
+
+
+def test_laminar_forest_on_hand_family():
+    fam = [G(0), G(1, "a"), G(2, "a", "b"), G(3, "c"), G(4, "a", "b", "c")]
+    parents, owner = laminar_forest(fam)
+    assert parents == {"F4": None, "F2": "F4", "F1": "F2", "F3": "F4"}
+    assert owner == {"a": "F1", "b": "F2", "c": "F3"}
 
 
 def test_ordered_layers_rejects_crossing_or_escaping_families():

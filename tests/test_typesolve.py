@@ -20,7 +20,7 @@ from grouppb import (
 
 from grouppb.profile import at_least, decode
 
-from conftest import build_corpus
+from conftest import build_corpus, raw_instances
 
 
 def test_type_index_partitions_projects():
@@ -156,3 +156,13 @@ def test_stats_report_table_cells(district_pair):
     tables = type_min_cost_tables(district_pair, index)
     assert out.stats.cells == sum(len(t) for t in tables) > 0
     assert out.stats.nodes > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instances())
+def test_max_matches_oracle_without_normalizing(inst):
+    # Projects of cost 0 and score 0 join the witness before its last project.
+    oracle = solve_bruteforce(inst)
+    out = solve_types_max(inst)
+    assert out.utility == oracle.optimum
+    assert out.bundle == oracle.witness
