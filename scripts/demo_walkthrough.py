@@ -14,20 +14,19 @@ from grouppb import (
     Project,
     Voter,
     check_bundle,
-    exact_layerwidth,
     is_hierarchical,
     min_group_deletion_set,
     min_project_deletion_set,
-    ordered_hier_layers,
     solve_bruteforce,
     solve_dimdp,
     solve_group_deletion,
     solve_hier,
     solve_lp_round,
     solve_types_max,
-    table_cells,
     validate_instance,
 )
+from grouppb.dimsolve import table_cells
+from grouppb.layers import exact_layerwidth, ordered_hier_layers
 
 
 def section(title: str) -> None:

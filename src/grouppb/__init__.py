@@ -6,172 +6,84 @@ budget.  The package offers exact solvers keyed to the structure of the group
 family (hierarchical families, families close to hierarchical, few groups),
 approximation routines with certified guarantees, an integer-programming
 export, generators, and a command line front end.
+
+The names below are the library API that README lists; everything else stays
+in its module.
 """
 
 __version__ = "0.1.0"
 
 from .core import (
     Bundle,
-    DerivedStats,
-    FeasibilityReport,
     Group,
     Instance,
-    ProfileEntry,
     Project,
     SolveOutcome,
     SolveStats,
-    UtilityCostProfile,
-    Violation,
     Voter,
-    approval_scores,
     check_bundle,
-    derived_stats,
-    make_bundle,
     normalize,
-    preference_key,
     validate_instance,
 )
 from .errors import (
     GroupPBError,
-    InvalidDeletion,
-    InvalidGraph,
-    InvalidInstance,
-    NotHierarchical,
-    OddTotal,
-    ParseError,
-    SchemaError,
     SearchBudgetExceeded,
     TableTooLarge,
     TooLarge,
-    UnknownProject,
     UtilityFloorsUnsupported,
-    ValidationIssue,
 )
 from .fileformat import parse_instance, serialize_instance
-from .generators import (
-    GenParams,
-    SimpleGraph,
-    SplitMix64,
-    gen_from_graph_is,
-    gen_from_partition,
-    gen_random,
-    make_graph,
-)
-from .layers import (
-    ConflictGraph,
-    LayerDecomposition,
-    OrderedLayers,
-    conflict_graph,
-    exact_layerwidth,
-    greedy_layers,
-    is_hierarchical,
-    is_valid_decomposition,
-    ordered_hier_layers,
-    two_layer_decomposition,
-)
-from .hiersolve import HierNode, HierTree, build_hier_tree, solve_hier
+from .generators import GenParams, gen_from_graph_is, gen_from_partition, gen_random, make_graph
+from .layers import is_hierarchical
+from .hiersolve import solve_hier
 from .distsolve import (
-    DeletionAnalysis,
     min_group_deletion_set,
     min_project_deletion_set,
     solve_group_deletion,
     solve_project_deletion,
 )
-from .typesolve import (
-    TypeIndex,
-    solve_types_decision,
-    solve_types_max,
-    type_index,
-    type_min_cost_tables,
-)
-from .dimsolve import solve_dimdp, table_cells
-from .approx import individually_feasible, lp_relaxation, solve_fptas_g, solve_lp_round
-from .lp import BasicSolution, LpModel, LpRow, simplex_solve
-from .milp import MilpModel, MilpType, build_milp, export_lp_format
-from .oracle import OracleResult, solve_bruteforce
+from .typesolve import solve_types_decision, solve_types_max
+from .dimsolve import solve_dimdp
+from .approx import solve_fptas_g, solve_lp_round
+from .milp import build_milp, export_lp_format
+from .oracle import solve_bruteforce
 
 __all__ = [
     "__version__",
-    "Bundle",
-    "DerivedStats",
-    "FeasibilityReport",
+    "Project",
+    "Voter",
     "Group",
     "Instance",
-    "ProfileEntry",
-    "Project",
+    "Bundle",
     "SolveOutcome",
     "SolveStats",
-    "UtilityCostProfile",
-    "Violation",
-    "Voter",
-    "approval_scores",
-    "check_bundle",
-    "derived_stats",
-    "make_bundle",
-    "normalize",
-    "preference_key",
-    "validate_instance",
-    "GroupPBError",
-    "InvalidDeletion",
-    "InvalidGraph",
-    "InvalidInstance",
-    "NotHierarchical",
-    "OddTotal",
-    "ParseError",
-    "SchemaError",
-    "SearchBudgetExceeded",
-    "TableTooLarge",
-    "TooLarge",
-    "UnknownProject",
-    "UtilityFloorsUnsupported",
-    "ValidationIssue",
     "parse_instance",
     "serialize_instance",
-    "GenParams",
-    "SimpleGraph",
-    "SplitMix64",
-    "gen_from_graph_is",
-    "gen_from_partition",
-    "gen_random",
-    "make_graph",
-    "ConflictGraph",
-    "LayerDecomposition",
-    "OrderedLayers",
-    "conflict_graph",
-    "exact_layerwidth",
-    "greedy_layers",
+    "validate_instance",
+    "normalize",
+    "check_bundle",
     "is_hierarchical",
-    "is_valid_decomposition",
-    "ordered_hier_layers",
-    "two_layer_decomposition",
-    "HierNode",
-    "HierTree",
-    "build_hier_tree",
-    "solve_hier",
-    "DeletionAnalysis",
     "min_group_deletion_set",
     "min_project_deletion_set",
+    "solve_bruteforce",
+    "solve_hier",
     "solve_group_deletion",
     "solve_project_deletion",
-    "TypeIndex",
-    "solve_types_decision",
     "solve_types_max",
-    "type_index",
-    "type_min_cost_tables",
+    "solve_types_decision",
     "solve_dimdp",
-    "table_cells",
-    "individually_feasible",
-    "lp_relaxation",
-    "solve_fptas_g",
     "solve_lp_round",
-    "BasicSolution",
-    "LpModel",
-    "LpRow",
-    "simplex_solve",
-    "MilpModel",
-    "MilpType",
+    "solve_fptas_g",
+    "GenParams",
+    "gen_random",
+    "make_graph",
+    "gen_from_graph_is",
+    "gen_from_partition",
     "build_milp",
     "export_lp_format",
-    "OracleResult",
-    "solve_bruteforce",
+    "GroupPBError",
+    "TooLarge",
+    "TableTooLarge",
+    "SearchBudgetExceeded",
+    "UtilityFloorsUnsupported",
 ]

@@ -22,6 +22,7 @@ from .core import (
     SolveOutcome,
     SolveStats,
     approval_scores,
+    individually_feasible,
     make_bundle,
     preference_key,
     require_no_utility_floors,
@@ -31,22 +32,6 @@ from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, LpModel, LpRow, simplex_solve
 from .profile import Cell, decode
 from .typesolve import DEFAULT_NODE_CAP, type_index, type_min_cost_tables
-
-
-def individually_feasible(inst: Instance) -> tuple[str, ...]:
-    """Projects that fit the global budget and every group budget alone.
-
-    Any project failing this can never appear in a feasible bundle, so both
-    the relaxation and the rounding candidates ignore it.
-    """
-    out = []
-    for p in inst.projects:
-        if p.cost > inst.budget:
-            continue
-        if any(p.cost > f.budget for f in inst.groups if p.id in f.members):
-            continue
-        out.append(p.id)
-    return tuple(out)
 
 
 def lp_relaxation(inst: Instance) -> LpModel:
@@ -87,14 +72,7 @@ def solve_lp_round(inst: Instance) -> SolveOutcome:
         nodes=solution.iterations,
         cells=(len(model.rows) + len(model.var_names)) * (2 * len(model.var_names) + len(model.rows) + 1),
     )
-    return SolveOutcome(
-        algorithm="lp-round",
-        utility=best.utility,
-        bundle=best,
-        exact=False,
-        guarantee=guarantee,
-        stats=stats,
-    )
+    return SolveOutcome(algorithm="lp-round", bundle=best, guarantee=guarantee, stats=stats)
 
 
 def _bucket_candidates(entries: list[Cell], one_plus_eps: Fraction) -> list[tuple[int, int, int]]:
@@ -187,11 +165,4 @@ def solve_fptas_g(
     assert best is not None  # skipping everything yields the empty bundle
     assert best.utility == sum(scores[pid] for pid in best.ids)
     best = with_idle(inst, scores, best)
-    return SolveOutcome(
-        algorithm="fptas-g",
-        utility=best.utility,
-        bundle=best,
-        exact=False,
-        guarantee=one_plus_eps,
-        stats=stats,
-    )
+    return SolveOutcome(algorithm="fptas-g", bundle=best, guarantee=one_plus_eps, stats=stats)

@@ -20,8 +20,8 @@ from .core import (
     Instance,
     check_bundle,
     derived_stats,
+    make_bundle,
     normalize,
-    preference_key,
 )
 from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
 from .distsolve import (
@@ -58,6 +58,7 @@ from .layers import (
 )
 from .milp import build_milp, export_lp_format
 from .oracle import DEFAULT_SIZE_CAP, solve_bruteforce
+from .profile import at_least, decode
 from .typesolve import solve_types_decision, solve_types_max, type_index
 from . import __version__
 
@@ -228,15 +229,16 @@ def _run_solver(inst: Instance, algo: str, args, extra: dict):
 
 
 def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | None:
-    """A feasible bundle with utility at least target, or None."""
+    """The cheapest feasible bundle with utility at least target, or None.
+
+    Ties go to the smallest sorted id tuple, so every algorithm returns the
+    at-least cell of the cost profile (profile.at_least).
+    """
     if algo == "bruteforce":
         profile = solve_bruteforce(inst).profile
-        candidates = [
-            Bundle(ids=e.ids, cost=e.cost, utility=z)
-            for z, e in enumerate(profile.entries)
-            if e is not None and z >= target
-        ]
-        return min(candidates, key=preference_key) if candidates else None
+        cells = at_least(list(profile.cells))
+        cell = cells[target] if target < len(cells) else None
+        return None if cell is None else make_bundle(inst, decode(cell[1], profile.ids))
     if algo == "hier":
         outcome = solve_hier(inst, u_cap=target)
         return outcome.bundle if outcome.utility >= target else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInstance, UnknownProject, ValidationIssue
-from .profile import Cell, decode
+from .profile import Cell, decode, rank_bits, with_idle as with_idle_mask
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -55,9 +55,6 @@ class Instance:
     voters: tuple[Voter, ...]
     groups: tuple[Group, ...]
 
-    def project_map(self) -> dict[str, Project]:
-        return {p.id: p for p in self.projects}
-
     def group_map(self) -> dict[str, Group]:
         return {f.id: f for f in self.groups}
 
@@ -68,10 +65,6 @@ class DerivedStats:
     n: int
     g: int
     total_score: int  # sum over projects of their approval score
-
-    @property
-    def max_utility(self) -> int:
-        return self.total_score
 
 
 @dataclass(frozen=True)
@@ -93,10 +86,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
     violations: tuple[Violation, ...]
     cost: int
     utility: int
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -137,15 +133,25 @@ class SolveStats:
 
 @dataclass
 class SolveOutcome:
-    """Result of any solver: utility, witness, and provenance."""
+    """Result of any solver: witness and provenance.
+
+    An exact result carries no guarantee; an approximate one carries the
+    factor its utility is within.
+    """
 
     algorithm: str
-    utility: int
     bundle: Bundle
-    exact: bool = True
     guarantee: Fraction | None = None
     profile: UtilityCostProfile | None = None
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def utility(self) -> int:
+        return self.bundle.utility
+
+    @property
+    def exact(self) -> bool:
+        return self.guarantee is None
 
 
 def preference_key(bundle: Bundle) -> tuple[int, int, tuple[str, ...]]:
@@ -177,11 +183,26 @@ def with_idle(inst: Instance, scores: dict[str, int], bundle: Bundle) -> Bundle:
     order, so a solver that never takes an idle project gets the canonical
     witness by applying this to its own.
     """
-    idle = {p.id for p in inst.projects if not p.cost and not scores[p.id]}
-    ids = sorted(set(bundle.ids) | idle)
-    while ids and ids[-1] in idle:
-        ids.pop()
-    return Bundle(ids=tuple(ids), cost=bundle.cost, utility=bundle.utility)
+    ids = sorted(scores)
+    bit = rank_bits(ids)
+    idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
+    mask = with_idle_mask(sum(bit[pid] for pid in bundle.ids), idle)
+    return Bundle(ids=decode(mask, ids), cost=bundle.cost, utility=bundle.utility)
+
+
+def individually_feasible(inst: Instance) -> tuple[str, ...]:
+    """Projects that fit the global budget and every group budget alone.
+
+    Any project failing this can never appear in a feasible bundle.
+    """
+    out = []
+    for p in inst.projects:
+        if p.cost > inst.budget:
+            continue
+        if any(p.cost > f.budget for f in inst.groups if p.id in f.members):
+            continue
+        out.append(p.id)
+    return tuple(out)
 
 
 def derived_stats(inst: Instance) -> DerivedStats:
@@ -358,7 +379,6 @@ def check_bundle(inst: Instance, project_ids) -> FeasibilityReport:
                 )
 
     return FeasibilityReport(
-        feasible=not violations,
         violations=tuple(violations),
         cost=bundle.cost,
         utility=bundle.utility,

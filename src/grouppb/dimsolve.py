@@ -42,6 +42,7 @@ from .core import (
     SolveOutcome,
     SolveStats,
     approval_scores,
+    individually_feasible,
     require_no_utility_floors,
     with_idle,
 )
@@ -92,11 +93,11 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
         axes = tuple(int(f.id in entry.groups) for f in groups) + (1,)
         axes_of.update((pid, axes) for pid in entry.members)
 
-    usable = []  # projects that fit every axis on their own; others fit no bundle
-    for p in sorted(inst.projects, key=lambda p: p.id):
-        vector = tuple(p.cost * on for on in axes_of[p.id])
-        if all(v <= limit for v, limit in zip(vector, limits)):
-            usable.append((p.id, p.cost, scores[p.id], vector))
+    cost = {p.id: p.cost for p in inst.projects}
+    usable = [  # projects that fit every axis on their own; others fit no bundle
+        (pid, cost[pid], scores[pid], tuple(cost[pid] * on for on in axes_of[pid]))
+        for pid in sorted(individually_feasible(inst))
+    ]
 
     n = len(usable)
     total = sum(score for _, _, score, _ in usable)
@@ -136,6 +137,4 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
 
     bundle = with_idle(inst, scores, Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility))
     stats = SolveStats(nodes=n * cells, cells=cells)
-    return SolveOutcome(
-        algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats
-    )
+    return SolveOutcome(algorithm="dimdp", bundle=bundle, stats=stats)

@@ -191,9 +191,7 @@ def _enumerate_and_solve(
             best = candidate
 
     assert best is not None  # the empty funded subset always yields a candidate
-    return SolveOutcome(
-        algorithm=algorithm, utility=best.utility, bundle=best, exact=True, stats=stats
-    )
+    return SolveOutcome(algorithm=algorithm, bundle=best, stats=stats)
 
 
 def solve_group_deletion(

@@ -22,11 +22,10 @@ from .core import (
     UtilityCostProfile,
     approval_scores,
     require_no_utility_floors,
-    with_idle,
 )
 from .errors import NotHierarchical
 from .layers import is_hierarchical, laminar_forest
-from .profile import Cell, combine, cut, item, rank_bits
+from .profile import Cell, combine, cut, item, rank_bits, with_idle
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,8 @@ class HierNode:
         return 1 + sum(child.count() for child in self.children)
 
 
-@dataclass(frozen=True)
-class HierTree:
-    root: HierNode
-
-
-def build_hier_tree(inst: Instance) -> HierTree:
-    """Arrange a hierarchical family into the budget tree described above.
+def build_hier_tree(inst: Instance) -> HierNode:
+    """The root of the budget tree described above, for a hierarchical family.
 
     A node's children are its child groups in id order, then its uncovered
     projects in id order.  Empty groups impose nothing on any bundle and are
@@ -75,7 +69,7 @@ def build_hier_tree(inst: Instance) -> HierTree:
         )
         return HierNode(label=label, project=None, budget=limit, children=groups + leaves)
 
-    return HierTree(root=build(None, inst.budget))
+    return build(None, inst.budget)
 
 
 def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
@@ -87,7 +81,7 @@ def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
     to the total approval score and every entry is exact.
     """
     require_no_utility_floors(inst)
-    tree = build_hier_tree(inst)
+    root = build_hier_tree(inst)
     scores = approval_scores(inst)
     total_score = sum(scores.values())
     cap = total_score if u_cap is None else min(u_cap, total_score)
@@ -107,18 +101,14 @@ def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
         stats.cells += len(profile)
         return profile
 
-    profile = UtilityCostProfile(cells=tuple(evaluate(tree.root)), ids=ids)
-    stats.nodes = tree.root.count()
+    # Idle projects never enter a cell (profile.item); each cell takes them
+    # by the idle rule, as the bundles of the other exact solvers do.
+    idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
+    cells = tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in evaluate(root))
+    profile = UtilityCostProfile(cells=cells, ids=ids)
+    stats.nodes = root.count()
     top = profile.optimum()
     assert top is not None  # the empty bundle always survives
-    z, entry = top
-    true_utility = sum(scores[pid] for pid in entry.ids)
-    bundle = with_idle(inst, scores, Bundle(ids=entry.ids, cost=entry.cost, utility=true_utility))
-    return SolveOutcome(
-        algorithm="hier",
-        utility=true_utility,
-        bundle=bundle,
-        exact=True,
-        profile=profile,
-        stats=stats,
-    )
+    entry = top[1]
+    bundle = Bundle(ids=entry.ids, cost=entry.cost, utility=sum(scores[pid] for pid in entry.ids))
+    return SolveOutcome(algorithm="hier", bundle=bundle, profile=profile, stats=stats)

@@ -221,13 +221,10 @@ def greedy_layers(groups: Sequence[Group]) -> LayerDecomposition:
     )
 
 
-def exact_layerwidth(
-    groups: Sequence[Group], width_cap: int | None = None, size_cap: int = 20
-) -> int | None:
+def exact_layerwidth(groups: Sequence[Group], size_cap: int = 20) -> int:
     """Exact chromatic number of the intersection graph by backtracking.
 
-    Returns None when the width exceeds width_cap; refuses families larger
-    than size_cap outright.
+    Refuses families larger than size_cap outright.
     """
     if len(groups) > size_cap:
         raise TooLarge(f"exact layerwidth over {len(groups)} groups exceeds the cap of {size_cap}")
@@ -236,7 +233,6 @@ def exact_layerwidth(
         return 0
     adj = graph.neighbors()
     order = sorted(graph.vertices, key=lambda v: (-len(adj[v]), v))
-    limit = width_cap if width_cap is not None else len(order)
 
     def colorable(k: int) -> bool:
         assignment: dict[str, int] = {}
@@ -257,7 +253,4 @@ def exact_layerwidth(
 
         return place(0)
 
-    for k in range(1, min(limit, len(order)) + 1):
-        if colorable(k):
-            return k
-    return None
+    return next(k for k in range(1, len(order) + 1) if colorable(k))

@@ -44,9 +44,6 @@ class MilpModel:
     group_budgets: tuple[tuple[str, int], ...]  # (group id, budget), id-sorted
     types: tuple[MilpType, ...]
 
-    def integer_var_count(self) -> int:
-        return len(self.types)
-
 
 def build_milp(inst: Instance) -> MilpModel:
     """Classify projects into (groups, score) types and assemble the model."""

@@ -28,27 +28,25 @@ DEFAULT_SIZE_CAP = 24
 class OracleResult:
     """Optimum over all feasible bundles, plus the per-utility cost profile.
 
-    optimum and witness are None when no bundle at all is feasible, which can
-    happen only through unsatisfiable utility floors.  profile.entries[z]
-    holds the cheapest feasible bundle of utility exactly z under the
-    canonical tie-break (cost, then lexicographic ids).
+    witness, and so optimum, is None when no bundle at all is feasible, which
+    can happen only through unsatisfiable utility floors.
+    profile.entries[z] holds the cheapest feasible bundle of utility exactly
+    z under the canonical tie-break (cost, then lexicographic ids).
     """
 
-    optimum: int | None
     witness: Bundle | None
     profile: UtilityCostProfile
     stats: SolveStats
 
+    @property
+    def optimum(self) -> int | None:
+        return None if self.witness is None else self.witness.utility
+
     def to_outcome(self) -> SolveOutcome:
-        if self.optimum is None or self.witness is None:
+        if self.witness is None:
             raise ValueError("no feasible bundle")
         return SolveOutcome(
-            algorithm="bruteforce",
-            utility=self.optimum,
-            bundle=self.witness,
-            exact=True,
-            profile=self.profile,
-            stats=self.stats,
+            algorithm="bruteforce", bundle=self.witness, profile=self.profile, stats=self.stats
         )
 
 
@@ -121,8 +119,5 @@ def solve_bruteforce(inst: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Oracle
 
     stats = SolveStats(nodes=total, cells=2 * total)
     top = profile.optimum()
-    if top is None:
-        return OracleResult(optimum=None, witness=None, profile=profile, stats=stats)
-    z, entry = top
-    witness = Bundle(ids=entry.ids, cost=entry.cost, utility=z)
-    return OracleResult(optimum=z, witness=witness, profile=profile, stats=stats)
+    witness = None if top is None else Bundle(ids=top[1].ids, cost=top[1].cost, utility=top[0])
+    return OracleResult(witness=witness, profile=profile, stats=stats)

@@ -85,3 +85,14 @@ def at_least(profile: list[Cell]) -> list[Cell]:
         if old is None or cell[0] < old[0] or cell[0] == old[0] and before(cell[1], old[1]):
             out[v] = cell
     return out
+
+
+def with_idle(mask: int, idle: int) -> int:
+    """The idle rule of core.with_idle on masks; idle marks the idle projects.
+
+    The rest of the bundle keeps its bits, and an idle bit is added exactly
+    when it lies above the lowest set bit of the rest, that is, when its id
+    sorts before the bundle's last other id.
+    """
+    mask &= ~idle
+    return mask | idle & -(mask & -mask)

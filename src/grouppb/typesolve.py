@@ -14,6 +14,7 @@ practical when the group count is small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     Bundle,
@@ -21,12 +22,11 @@ from .core import (
     SolveOutcome,
     SolveStats,
     approval_scores,
-    preference_key,
     require_no_utility_floors,
     with_idle,
 )
 from .errors import SearchBudgetExceeded
-from .profile import Cell, at_least, combine, decode, item, rank_bits
+from .profile import Cell, at_least, before, combine, decode, item, rank_bits
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -78,34 +78,33 @@ def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
 
 
 def _count_compositions(caps: list[int], u: int) -> int:
+    """The number of ways to write u as a sum of parts, part i in 0..caps[i]."""
     ways = [1] + [0] * u
     for cap in caps:
-        nxt = [0] * (u + 1)
-        for total in range(u + 1):
-            if ways[total]:
-                for take in range(0, min(cap, u - total) + 1):
-                    nxt[total + take] += ways[total]
-        ways = nxt
+        window = list(accumulate(ways, initial=0))  # window[t] = ways[0] + ... + ways[t - 1]
+        ways = [window[t + 1] - window[max(0, t - cap)] for t in range(u + 1)]
     return ways[u]
 
 
-def _enumerate_allocations(
+def _scan_allocations(
     inst: Instance,
     index: TypeIndex,
     tables: list[list[Cell]],
     u: int,
     node_cap: int,
     stats: SolveStats,
-    collect_best: bool,
-) -> Bundle | None:
-    """DFS over utility allocations summing to u; returns a feasible bundle.
+    first: bool,
+    prune: bool = False,
+) -> Cell:
+    """DFS over the utility allocations summing to u; returns a feasible one's cell.
 
-    tables are the types' at-least profiles.  With collect_best, scans every
-    allocation and returns the canonical winner; otherwise the first
-    feasible allocation wins.
+    tables are the types' at-least profiles, and an allocation funds its
+    types' cells.  With first, the first feasible allocation ends the scan;
+    otherwise the (cost, mask)-least one wins, masks compared by
+    profile.before.  prune cuts branches that already cost more than the
+    best so far; without it every allocation is visited.  None when no
+    allocation is feasible.
     """
-    scores = approval_scores(inst)
-    ids = sorted(scores)
     types = index.types
     caps = [len(t) - 1 for t in tables]
     estimate = _count_compositions(caps, u)
@@ -120,62 +119,71 @@ def _enumerate_allocations(
         suffix[i] = suffix[i + 1] + caps[i]
 
     group_spend = {gid: 0 for gid in budget_of}
-    best: Bundle | None = None
+    best: Cell = None
 
-    def rec(i: int, u_rem: int, spent: int, mask: int) -> Bundle | None:
+    def rec(i: int, u_rem: int, spent: int, mask: int) -> bool:
+        """Visit the allocations below this node; True when the scan may stop."""
         nonlocal best
         stats.nodes += 1
         if i == len(types):
-            chosen = decode(mask, ids)
-            candidate = Bundle(ids=chosen, cost=spent, utility=sum(scores[pid] for pid in chosen))
-            if not collect_best:
-                return candidate
-            if best is None or preference_key(candidate) < preference_key(best):
-                best = candidate
-            return None
+            if best is None or spent < best[0] or spent == best[0] and before(mask, best[1]):
+                best = (spent, mask)
+            return first
         lo = max(0, u_rem - suffix[i + 1])
         hi = min(caps[i], u_rem)
         table = tables[i]
         touched = types[i].groups
         for take in range(lo, hi + 1):
             c, wit = table[take]  # at-least tables have no gaps
-            if spent + c > inst.budget:
+            if spent + c > inst.budget or prune and best is not None and spent + c > best[0]:
                 break  # cost only grows with the target
             if any(group_spend[gid] + c > budget_of[gid] for gid in touched):
                 break
             for gid in touched:
                 group_spend[gid] += c
-            hit = rec(i + 1, u_rem - take, spent + c, mask | wit)
+            stop = rec(i + 1, u_rem - take, spent + c, mask | wit)
             for gid in touched:
                 group_spend[gid] -= c
-            if hit is not None:
-                return hit
-        return None
+            if stop:
+                return True
+        return False
 
-    first = rec(0, u, 0, 0)
-    return best if collect_best else first
+    rec(0, u, 0, 0)
+    return best
+
+
+def _bundle(inst: Instance, cell: Cell) -> Bundle:
+    """The bundle of a scan's cell, with idle projects by core.with_idle."""
+    scores = approval_scores(inst)
+    ids = decode(cell[1], sorted(scores))
+    bundle = Bundle(ids=ids, cost=cell[0], utility=sum(scores[pid] for pid in ids))
+    return with_idle(inst, scores, bundle)
 
 
 def solve_types_decision(inst: Instance, u: int, node_cap: int = DEFAULT_NODE_CAP) -> Bundle | None:
-    """A feasible bundle with utility at least u, or None when none exists.
+    """The cheapest feasible bundle with utility at least u, or None.
 
-    Sound and complete: any feasible bundle's per-type utilities dominate
-    some allocation summing to exactly u, and shrinking a type's target never
-    raises the table cost, so the allocation scan cannot miss a witness.
+    Ties go to the smallest sorted id tuple, so this is the at-least cell of
+    the instance's cost profile.  Sound and complete: any feasible bundle's
+    per-type utilities dominate some allocation summing to exactly u, and
+    shrinking a type's target never raises the table cost, so the cheapest
+    allocation costs no more than the cheapest bundle.
     """
     require_no_utility_floors(inst)
     index = type_index(inst)
     tables = [at_least(t) for t in type_min_cost_tables(inst, index)]
     if u > sum(len(t) - 1 for t in tables):
         return None
-    return _enumerate_allocations(inst, index, tables, u, node_cap, SolveStats(), collect_best=False)
+    cell = _scan_allocations(inst, index, tables, u, node_cap, SolveStats(), first=False, prune=True)
+    return None if cell is None else _bundle(inst, cell)
 
 
 def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     """Maximum utility by binary search over the allocation scan.
 
-    The final pass re-enumerates every allocation at the optimum and applies
-    the canonical tie-break, so the witness matches the other exact solvers.
+    The final pass is solve_types_decision's scan at the optimum, so the
+    witness follows the canonical tie-break of the other exact solvers.  It
+    does not prune, so stats.nodes counts every allocation at the optimum.
     """
     require_no_utility_floors(inst)
     index = type_index(inst)
@@ -185,12 +193,11 @@ def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOu
     lo, hi = 0, sum(len(t) - 1 for t in tables)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _enumerate_allocations(inst, index, tables, mid, node_cap, stats, False) is not None:
+        if _scan_allocations(inst, index, tables, mid, node_cap, stats, first=True) is not None:
             lo = mid
         else:
             hi = mid - 1
 
-    best = _enumerate_allocations(inst, index, tables, lo, node_cap, stats, collect_best=True)
-    assert best is not None and best.utility == lo
-    best = with_idle(inst, approval_scores(inst), best)
-    return SolveOutcome(algorithm="types", utility=lo, bundle=best, exact=True, stats=stats)
+    best = _bundle(inst, _scan_allocations(inst, index, tables, lo, node_cap, stats, first=False))
+    assert best.utility == lo
+    return SolveOutcome(algorithm="types", bundle=best, stats=stats)

@@ -15,32 +15,28 @@ import pytest
 from hypothesis import strategies as st
 
 from grouppb import (
-    BasicSolution,
     Bundle,
     GenParams,
     Group,
-    HierNode,
-    HierTree,
     Instance,
-    NotHierarchical,
-    OrderedLayers,
     Project,
+    SolveOutcome,
+    SolveStats,
     TooLarge,
     Voter,
     build_milp,
-    LpModel,
-    ProfileEntry,
-    SolveOutcome,
-    SolveStats,
-    approval_scores,
-    build_hier_tree,
     gen_random,
     is_hierarchical,
     normalize,
     solve_bruteforce,
-    type_index,
     validate_instance,
 )
+from grouppb.core import ProfileEntry, approval_scores
+from grouppb.errors import NotHierarchical
+from grouppb.hiersolve import HierNode, build_hier_tree
+from grouppb.layers import OrderedLayers
+from grouppb.lp import BasicSolution, LpModel
+from grouppb.typesolve import type_index
 
 
 @pytest.fixture
@@ -128,8 +124,8 @@ def raw_instances(draw, laminar: bool = False):
     )
 
 
-def hier_tree_reference(inst: Instance) -> HierTree:
-    """hier's budget tree by rescanning for maximal groups at every level.
+def hier_tree_reference(inst: Instance) -> HierNode:
+    """The root of hier's budget tree, by rescanning for maximal groups at every level.
 
     Each node's children are its maximal candidate groups in id order, each
     built from the candidates strictly inside it, then its uncovered
@@ -157,7 +153,7 @@ def hier_tree_reference(inst: Instance) -> HierTree:
         return tuple(nodes)
 
     children = build_children(frozenset(cost), groups)
-    return HierTree(root=HierNode(label=None, project=None, budget=inst.budget, children=children))
+    return HierNode(label=None, project=None, budget=inst.budget, children=children)
 
 
 def ordered_layers_reference(groups, universe: frozenset) -> OrderedLayers:
@@ -456,9 +452,7 @@ def dimdp_completion_reference(inst: Instance) -> SolveOutcome:
     assert u_rem == 0 and c_rem == 0
 
     bundle = Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility)
-    return SolveOutcome(
-        algorithm="dimdp", utility=best_utility, bundle=bundle, exact=True, stats=stats
-    )
+    return SolveOutcome(algorithm="dimdp", bundle=bundle, stats=stats)
 
 
 def hier_tuple_reference(
@@ -469,10 +463,9 @@ def hier_tuple_reference(
     The same tree and min-plus fold as ``solve_hier``, but every cell holds
     (cost, sorted ids) and ties are broken by comparing the tuples, so it
     shares no mask code with the library.  Returns the outcome without its
-    profile, and the profile's entries, whose witnesses hold no project of
-    cost 0 and score 0.
+    profile, and the profile's entries.
     """
-    tree = build_hier_tree(inst)
+    root = build_hier_tree(inst)
     scores = approval_scores(inst)
     total_score = sum(scores.values())
     cap = total_score if u_cap is None else min(u_cap, total_score)
@@ -504,15 +497,18 @@ def hier_tuple_reference(
         stats.cells += len(profile)
         return profile
 
-    entries = tuple(None if e is None else ProfileEntry(cost=e[0], ids=e[1]) for e in evaluate(tree.root))
-    stats.nodes = tree.root.count()
-    top = max(z for z, e in enumerate(entries) if e is not None)
-    ids = entries[top].ids
-    utility = sum(scores[pid] for pid in ids)
-    # Projects of cost 0 and score 0 never enter a cell; the witness takes
+    # Projects of cost 0 and score 0 never enter a cell; each entry takes
     # those that sort before its last project, which shortens no tuple.
     idle = {p.id for p in inst.projects if not p.cost and not scores[p.id]}
-    ids = tuple(sorted(set(ids) | {pid for pid in idle if ids and pid < ids[-1]}))
-    bundle = Bundle(ids=ids, cost=entries[top].cost, utility=utility)
-    outcome = SolveOutcome(algorithm="hier", utility=utility, bundle=bundle, exact=True, stats=stats)
-    return outcome, entries
+
+    def with_idle(ids):
+        return tuple(sorted(set(ids) | {pid for pid in idle if ids and pid < ids[-1]}))
+
+    entries = tuple(
+        None if e is None else ProfileEntry(cost=e[0], ids=with_idle(e[1])) for e in evaluate(root)
+    )
+    stats.nodes = root.count()
+    top = max(z for z, e in enumerate(entries) if e is not None)
+    ids = entries[top].ids
+    bundle = Bundle(ids=ids, cost=entries[top].cost, utility=sum(scores[pid] for pid in ids))
+    return SolveOutcome(algorithm="hier", bundle=bundle, stats=stats), entries

@@ -19,20 +19,15 @@ from grouppb import (
     Instance,
     build_milp,
     check_bundle,
-    exact_layerwidth,
     export_lp_format,
     gen_from_graph_is,
     gen_from_partition,
     gen_random,
-    greedy_layers,
     is_hierarchical,
-    lp_relaxation,
     make_graph,
     min_group_deletion_set,
     min_project_deletion_set,
     normalize,
-    ordered_hier_layers,
-    simplex_solve,
     solve_bruteforce,
     solve_dimdp,
     solve_fptas_g,
@@ -41,11 +36,18 @@ from grouppb import (
     solve_lp_round,
     solve_project_deletion,
     solve_types_max,
-    table_cells,
+)
+from grouppb.approx import lp_relaxation
+from grouppb.cli import main as cli_main
+from grouppb.dimsolve import table_cells
+from grouppb.layers import (
+    exact_layerwidth,
+    greedy_layers,
+    is_valid_decomposition,
+    ordered_hier_layers,
     two_layer_decomposition,
 )
-from grouppb.layers import is_valid_decomposition
-from grouppb.cli import main as cli_main
+from grouppb.lp import simplex_solve
 
 from conftest import (
     add_crossing_group,

@@ -12,16 +12,15 @@ from grouppb import (
     Voter,
     check_bundle,
     gen_random,
-    individually_feasible,
-    lp_relaxation,
     normalize,
-    simplex_solve,
     solve_bruteforce,
     solve_fptas_g,
     solve_lp_round,
     validate_instance,
 )
-from grouppb.approx import _bucket_candidates
+from grouppb.approx import _bucket_candidates, lp_relaxation
+from grouppb.core import individually_feasible
+from grouppb.lp import simplex_solve
 
 from conftest import build_corpus, raw_instances
 

@@ -1,23 +1,31 @@
 import argparse
 import io
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouppb import (
+    Bundle,
     Group,
     Instance,
     Project,
     Voter,
+    check_bundle,
+    is_hierarchical,
     parse_instance,
     serialize_instance,
     solve_bruteforce,
     validate_instance,
 )
-from grouppb.cli import build_parser, main
+from grouppb.cli import _decision_bundle, build_parser, main
+from grouppb.typesolve import DEFAULT_NODE_CAP
+
+from conftest import raw_instances
 
 GOLDEN = Path(__file__).parent / "golden"
 DISTRICT = str(GOLDEN / "district_pair.json")
@@ -188,6 +196,32 @@ def test_decision_with_floors_routes_to_bruteforce(capsys, floor_file):
     payload = json.loads(out)
     assert payload["algorithm"] == "bruteforce"
     assert payload["bundle"]["utility"] >= 4
+
+
+def _cheapest_reaching(inst, target):
+    """The cheapest feasible bundle of utility at least target, ties by sorted ids."""
+    ids = sorted(p.id for p in inst.projects)
+    best = None
+    for r in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, r):
+            report = check_bundle(inst, combo)
+            if report.feasible and report.utility >= target:
+                if best is None or (report.cost, combo) < (best.cost, best.ids):
+                    best = Bundle(ids=combo, cost=report.cost, utility=report.utility)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(raw_instances(), raw_instances(laminar=True)).filter(lambda i: len(i.projects) <= 10))
+def test_decision_witness_is_the_cheapest_bundle_reaching_the_target(inst):
+    # As written: costs and scores from 0, so idle projects and free ones occur.
+    args = argparse.Namespace(node_cap=DEFAULT_NODE_CAP)
+    algos = ["bruteforce", "types"] + (["hier"] if is_hierarchical(inst.groups) else [])
+    top = sum(len(v.approves) for v in inst.voters)
+    for target in range(top + 2):
+        expected = _cheapest_reaching(inst, target)
+        for algo in algos:
+            assert _decision_bundle(inst, algo, target, args) == expected, (algo, target)
 
 
 @pytest.mark.parametrize("extra", [[], ["--decision-u", "3"]])

@@ -8,22 +8,18 @@ from grouppb import (
     GenParams,
     Group,
     Instance,
-    InvalidInstance,
     Project,
-    UnknownProject,
     UtilityFloorsUnsupported,
     Voter,
-    approval_scores,
     check_bundle,
-    derived_stats,
     gen_random,
-    make_bundle,
     normalize,
-    preference_key,
     solve_bruteforce,
     solve_hier,
     validate_instance,
 )
+from grouppb.core import approval_scores, derived_stats, make_bundle, preference_key
+from grouppb.errors import InvalidInstance, UnknownProject
 
 from conftest import build_corpus
 

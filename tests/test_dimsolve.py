@@ -13,9 +13,9 @@ from grouppb import (
     normalize,
     solve_bruteforce,
     solve_dimdp,
-    table_cells,
     validate_instance,
 )
+from grouppb.dimsolve import table_cells
 
 from conftest import build_corpus, dimdp_completion_reference, raw_instances
 

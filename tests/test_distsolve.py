@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from grouppb import (
     GenParams,
-    InvalidDeletion,
     SearchBudgetExceeded,
     gen_random,
     is_hierarchical,
@@ -16,6 +15,7 @@ from grouppb import (
     solve_group_deletion,
     solve_project_deletion,
 )
+from grouppb.errors import InvalidDeletion
 from grouppb.distsolve import deleted_members
 
 from conftest import (

@@ -3,16 +3,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouppb import (
-    GenParams,
-    InvalidInstance,
-    ParseError,
-    SchemaError,
-    approval_scores,
-    gen_random,
-    parse_instance,
-    serialize_instance,
-)
+from grouppb import GenParams, gen_random, parse_instance, serialize_instance
+from grouppb.core import approval_scores
+from grouppb.errors import InvalidInstance, ParseError, SchemaError
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -5,11 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from grouppb import (
     GenParams,
-    InvalidGraph,
-    OddTotal,
-    SplitMix64,
-    approval_scores,
-    derived_stats,
     gen_from_graph_is,
     gen_from_partition,
     gen_random,
@@ -17,6 +12,9 @@ from grouppb import (
     make_graph,
     serialize_instance,
 )
+from grouppb.core import approval_scores, derived_stats
+from grouppb.errors import InvalidGraph, OddTotal
+from grouppb.generators import SplitMix64
 
 MASK = (1 << 64) - 1
 

@@ -8,10 +8,8 @@ from grouppb import (
     GenParams,
     Group,
     Instance,
-    NotHierarchical,
     Project,
     Voter,
-    build_hier_tree,
     check_bundle,
     gen_random,
     normalize,
@@ -19,6 +17,8 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
+from grouppb.errors import NotHierarchical
+from grouppb.hiersolve import build_hier_tree
 
 from conftest import hier_tree_reference, hier_tuple_reference, raw_instances
 
@@ -30,8 +30,7 @@ def laminar_instance(seed: int, m=9, n=3, g=4) -> Instance:
 
 
 def test_tree_wraps_groups_and_uncovered_projects(district_pair):
-    tree = build_hier_tree(district_pair)
-    root = tree.root
+    root = build_hier_tree(district_pair)
     assert root.budget == district_pair.budget and root.project is None
     labels = sorted(child.label for child in root.children)
     assert labels == ["F1", "F2"]
@@ -50,8 +49,8 @@ def test_tree_gives_uncovered_projects_their_cost_as_budget():
             groups=(Group(id="F", members=frozenset({"a"}), budget=4),),
         )
     )
-    tree = build_hier_tree(inst)
-    by_project = {child.project: child for child in tree.root.children}
+    root = build_hier_tree(inst)
+    by_project = {child.project: child for child in root.children}
     assert by_project["b"].label is None and by_project["b"].budget == 6
 
 
@@ -67,8 +66,8 @@ def test_nested_groups_nest_in_tree():
             ),
         )
     )
-    tree = build_hier_tree(inst)
-    outer = next(ch for ch in tree.root.children if ch.label == "outer")
+    root = build_hier_tree(inst)
+    outer = next(ch for ch in root.children if ch.label == "outer")
     assert sorted(ch.label or ch.project for ch in outer.children) == ["b", "inner"]
 
 
@@ -126,6 +125,13 @@ def test_matches_oracle_without_normalizing(inst):
     out = solve_hier(inst)
     assert out.utility == oracle.optimum
     assert out.bundle == oracle.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_instances(laminar=True))
+def test_profile_matches_oracle_without_normalizing(inst):
+    # Every entry, not just the witness, takes idle projects by the idle rule.
+    assert solve_hier(inst).profile.entries == solve_bruteforce(inst).profile.entries
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,22 +3,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouppb import (
-    GenParams,
-    Group,
-    NotHierarchical,
-    TooLarge,
+from grouppb import GenParams, Group, TooLarge, gen_random, is_hierarchical, normalize
+from grouppb.errors import NotHierarchical
+from grouppb.layers import (
     conflict_graph,
+    crossing_pair,
     exact_layerwidth,
-    gen_random,
     greedy_layers,
-    is_hierarchical,
     is_valid_decomposition,
-    normalize,
+    laminar_forest,
     ordered_hier_layers,
     two_layer_decomposition,
 )
-from grouppb.layers import crossing_pair, laminar_forest
 
 from conftest import build_corpus, crossing_pairs, ordered_layers_reference, raw_instances
 
@@ -61,7 +57,6 @@ def test_layerwidth_hand_cases():
     assert exact_layerwidth(chain) == 3
     triangle = [G(1, "a", "b"), G(2, "b", "c"), G(3, "c", "a")]
     assert exact_layerwidth(triangle) == 3
-    assert exact_layerwidth(triangle, width_cap=2) is None
     with pytest.raises(TooLarge):
         exact_layerwidth([G(i, "x") for i in range(25)])
 

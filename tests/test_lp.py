@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from grouppb import (
-    GenParams,
-    LpModel,
-    LpRow,
-    gen_random,
-    lp_relaxation,
-    normalize,
-    simplex_solve,
-)
+from grouppb import GenParams, gen_random, normalize
+from grouppb.approx import lp_relaxation
+from grouppb.lp import LpModel, LpRow, simplex_solve
 
 from conftest import fraction_simplex_reference
 

@@ -5,15 +5,14 @@ import pytest
 from grouppb import (
     Group,
     Instance,
-    ProfileEntry,
     Project,
     TooLarge,
     Voter,
-    approval_scores,
     check_bundle,
     solve_bruteforce,
     validate_instance,
 )
+from grouppb.core import ProfileEntry, approval_scores
 
 from conftest import build_corpus
 

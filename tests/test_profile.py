@@ -1,6 +1,6 @@
 """The mask encoding of profile cells, pinned to the sorted-id tuple order."""
 
-from grouppb.profile import at_least, before, combine, cut, decode, item, rank_bits
+from grouppb.profile import at_least, before, combine, cut, decode, item, rank_bits, with_idle
 
 
 def test_rank_bits_give_the_first_id_the_highest_bit():
@@ -32,3 +32,16 @@ def test_combine_cut_and_at_least_on_two_projects():
     assert both == [(0, 0), (0, 0b01), None, None]
     assert at_least([(0, 0), None, (5, 0b10), (4, 0b11)]) == [(0, 0), (4, 0b11), (4, 0b11), (4, 0b11)]
     assert item(0, 1, 0b1, cap=9) == item(3, 1, 0b1, cap=0) == [(0, 0)]
+
+
+def test_with_idle_adds_the_idle_ids_before_the_last_other_id():
+    # The rule on tuples: add every idle id, then drop the trailing run of them.
+    for m in range(7):
+        ids = [f"p{i}" for i in range(m)]
+        for idle in range(1 << m):
+            idle_ids = set(decode(idle, ids))
+            for mask in range(1 << m):
+                expected = sorted(set(decode(mask, ids)) | idle_ids)
+                while expected and expected[-1] in idle_ids:
+                    expected.pop()
+                assert decode(with_idle(mask, idle), ids) == tuple(expected)

@@ -7,16 +7,15 @@ from grouppb import (
     GenParams,
     Instance,
     SearchBudgetExceeded,
-    approval_scores,
     check_bundle,
     gen_random,
     normalize,
     solve_bruteforce,
     solve_types_decision,
     solve_types_max,
-    type_index,
-    type_min_cost_tables,
 )
+from grouppb.core import approval_scores
+from grouppb.typesolve import _count_compositions, type_index, type_min_cost_tables
 
 from grouppb.profile import at_least, decode
 
@@ -141,6 +140,13 @@ def test_no_groups_reduces_to_knapsack():
         index = type_index(bare)
         assert len(index.types) == 1 and index.types[0].groups == ()
         assert solve_types_max(bare).utility == solve_bruteforce(bare).optimum
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5), st.integers(0, 14))
+def test_count_compositions_matches_enumeration(caps, u):
+    expected = sum(1 for parts in itertools.product(*(range(c + 1) for c in caps)) if sum(parts) == u)
+    assert _count_compositions(caps, u) == expected
 
 
 def test_node_cap_limits_allocation_scan(district_pair):
