@@ -17,6 +17,7 @@ from grouppb import (
     is_hierarchical,
     min_group_deletion_set,
     min_project_deletion_set,
+    solve_bnb,
     solve_bruteforce,
     solve_dimdp,
     solve_group_deletion,
@@ -85,6 +86,7 @@ def main() -> int:
         solve_hier(inst),
         solve_types_max(inst),
         solve_dimdp(inst),
+        solve_bnb(inst),
         solve_bruteforce(inst).to_outcome(),
     ]
     for out in outcomes:

@@ -4,8 +4,9 @@ A bundle of projects is feasible when its cost fits the global budget and,
 inside every group, the cost of the bundle's members fits that group's own
 budget.  The package offers exact solvers keyed to the structure of the group
 family (hierarchical families, families close to hierarchical, few groups),
-approximation routines with certified guarantees, an integer-programming
-export, generators, and a command line front end.
+an exact branch and bound for any family, approximation routines with
+certified guarantees, an integer-programming export, generators, and a
+command line front end.
 
 The names below are the library API that README lists; everything else stays
 in its module.
@@ -36,6 +37,7 @@ from .fileformat import parse_instance, serialize_instance
 from .generators import GenParams, gen_from_graph_is, gen_from_partition, gen_random, make_graph
 from .layers import is_hierarchical
 from .hiersolve import solve_hier
+from .bnbsolve import solve_bnb
 from .distsolve import (
     min_group_deletion_set,
     min_project_deletion_set,
@@ -67,6 +69,7 @@ __all__ = [
     "min_project_deletion_set",
     "solve_bruteforce",
     "solve_hier",
+    "solve_bnb",
     "solve_group_deletion",
     "solve_project_deletion",
     "solve_types_max",

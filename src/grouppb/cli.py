@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from .approx import solve_fptas_g, solve_lp_round
+from .bnbsolve import solve_bnb
 from .core import (
     Bundle,
     Instance,
@@ -27,7 +28,6 @@ from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
 from .distsolve import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_NODE_CAP,
-    deleted_members,
     min_group_deletion_set,
     min_project_deletion_set,
     solve_group_deletion,
@@ -71,14 +71,11 @@ EXIT_RESOURCE = 4
 # this many groups.
 EXACT_WIDTH_CAP = 12
 
-# Auto policy only commits to a deletion-based solve when the funded-subset
-# enumeration is this small; beyond that the table solvers take over.
-AUTO_ENUM_CAP = 1024
-
 ALGOS = (
     "auto",
     "bruteforce",
     "hier",
+    "bnb",
     "group-del",
     "proj-del",
     "types",
@@ -159,60 +156,46 @@ def _has_floors(inst: Instance) -> bool:
     return any(f.min_utility > 0 for f in inst.groups)
 
 
-def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, dict]]:
-    """The solvers auto tries, in order, each with its extra info.
+def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
+    """The solvers auto tries, in order, each with the note printed before it.
 
     Each entry after the first is a fallback, run only when the one before it
-    hits a resource cap; extra["note"] is printed before an entry runs.
-    Decision queries skip the solvers that cannot answer them: the deletion
-    solvers, dimdp and lp-round.
+    hits a resource cap.  Decision queries skip the solvers that cannot answer
+    them: bnb, dimdp and lp-round.
     """
     if _has_floors(inst):
-        return [("bruteforce", {"note": "auto selected bruteforce: utility floors present"})]
+        return [("bruteforce", "auto selected bruteforce: utility floors present")]
     if is_hierarchical(inst.groups):
-        return [("hier", {"note": "auto selected hier: family is hierarchical"})]
+        return [("hier", "auto selected hier: family is hierarchical")]
 
-    plan = []
-    if not decision:
-        options = []
-        ganal = min_group_deletion_set(inst.groups, args.depth_cap)
-        if ganal.deleted is not None:
-            pool = len(deleted_members(inst, ganal.deleted))
-            if 2**pool <= AUTO_ENUM_CAP:
-                options.append((2**pool, 0, "group-del", ganal))
-        panal = min_project_deletion_set(inst.groups, args.depth_cap)
-        if panal.deleted is not None and 2 ** len(panal.deleted) <= AUTO_ENUM_CAP:
-            options.append((2 ** len(panal.deleted), 1, "proj-del", panal))
-        if options:
-            _, _, algo, analysis = min(options, key=lambda o: (o[0], o[1]))
-            note = f"auto selected {algo}: small deletion distance"
-            plan.append((algo, {"analysis": analysis, "note": note}))
-        elif table_cells(inst) <= args.cell_cap:
-            plan.append(("dimdp", {"note": "auto selected dimdp: spending table fits the cell cap"}))
-    if not plan:
-        plan.append(("types", {"note": "auto selected types: fallback to type enumeration"}))
-
+    if decision:
+        plan = [("types", "auto selected types: fallback to type enumeration")]
+    else:
+        plan = [("bnb", "auto selected bnb: family is not hierarchical")]
+        if table_cells(inst) <= args.cell_cap:
+            plan.append(("dimdp", "auto fell back to dimdp: spending table fits the cell cap"))
     # Last resorts: exhaustive search when small, else rounding.
     if len(inst.projects) <= DEFAULT_SIZE_CAP:
-        plan.append(("bruteforce", {"note": "auto fell back to bruteforce"}))
+        plan.append(("bruteforce", "auto fell back to bruteforce"))
     elif not decision:
-        note = "auto fell back to lp-round; result is approximate, not exact"
-        plan.append(("lp-round", {"note": note}))
+        plan.append(("lp-round", "auto fell back to lp-round; result is approximate, not exact"))
     return plan
 
 
-def _run_solver(inst: Instance, algo: str, args, extra: dict):
+def _run_solver(inst: Instance, algo: str, args):
     """Dispatch to one solver; returns (outcome, deletion-info or None)."""
     if algo == "bruteforce":
         return solve_bruteforce(inst).to_outcome(), None
     if algo == "hier":
         return solve_hier(inst), None
+    if algo == "bnb":
+        return solve_bnb(inst, node_cap=args.node_cap), None
     if algo in ("group-del", "proj-del"):
         kind, finder, solver = {
             "group-del": ("group", min_group_deletion_set, solve_group_deletion),
             "proj-del": ("project", min_project_deletion_set, solve_project_deletion),
         }[algo]
-        analysis = extra.get("analysis") or finder(inst.groups, args.depth_cap)
+        analysis = finder(inst.groups, args.depth_cap)
         if analysis.deleted is None:
             raise SearchBudgetExceeded(f"no deletion set of size at most {analysis.depth_cap} exists")
         info = {"deleted": list(analysis.deleted), "kind": kind, "search_nodes": analysis.nodes}
@@ -256,21 +239,22 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    plan = _auto_plan(inst, args, decision) if args.algo == "auto" else [(args.algo, {})]
+    plan = _auto_plan(inst, args, decision) if args.algo == "auto" else [(args.algo, None)]
 
     start = time.perf_counter()
-    for attempt, (algo, extra) in enumerate(plan, 1):
-        if "note" in extra:
-            _note(extra["note"])
+    for attempt, (algo, note) in enumerate(plan, 1):
+        if note is not None:
+            _note(note)
         try:
             if decision:
                 witness = _decision_bundle(inst, algo, args.decision_u, args)
             else:
-                outcome, deletion_info = _run_solver(inst, algo, args, extra)
+                outcome, deletion_info = _run_solver(inst, algo, args)
             break
-        except RESOURCE_ERRORS:
+        except RESOURCE_ERRORS as exc:
             if attempt == len(plan):
                 raise
+            _note(f"{algo} stopped: {exc}")
     elapsed = time.perf_counter() - start
 
     if decision:

@@ -19,6 +19,13 @@ scaling keeps every sign, and the ratio test compares rhs_i / a_i by
 cross-multiplication, where the multipliers cancel; so every comparison
 Bland's rule makes comes out as it would on the rational tableau, and the
 pivots, the vertex and the iteration count are the same.
+
+At the optimum the reduced-cost row's slack column of model row i holds that
+row's dual value y_i, times the positive multiple the reduced-cost row is
+kept on.  BasicSolution.duals is that slice divided by its gcd: the smallest
+integer vector on the ray of y, the same whatever multiple the row ended on.
+One common positive scale is all a surrogate constraint needs, since scaling
+every multiplier by it scales both sides alike.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ class BasicSolution:
     values: tuple[Fraction, ...]
     objective: Fraction
     iterations: int
+    duals: tuple[int, ...]  # one per model row, up to a common positive scale
 
     def fractional_vars(self) -> tuple[str, ...]:
         return tuple(
@@ -115,13 +123,22 @@ def simplex_solve(model: LpModel) -> BasicSolution:
         iterations += 1
         prow = tableau[pivot_row]
         pivot = prow[entering]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]  # most of a row is zeros
+
+        def eliminate(row: list[int], factor: int) -> list[int]:
+            """row * pivot - factor * prow, divided by its gcd."""
+            out = [x * pivot for x in row]
+            for j, y in nonzero:
+                out[j] -= factor * y
+            return _divided_by_gcd(out)
+
         for i in range(r):
             factor = tableau[i][entering]
             if i != pivot_row and factor != 0:
-                tableau[i] = _divided_by_gcd([x * pivot - factor * y for x, y in zip(tableau[i], prow)])
+                tableau[i] = eliminate(tableau[i], factor)
         factor = reduced[entering]
         if factor != 0:
-            reduced = _divided_by_gcd([x * pivot - factor * y for x, y in zip(reduced, prow)])
+            reduced = eliminate(reduced, factor)
         basis[pivot_row] = entering
 
     values = [Fraction(0)] * n
@@ -134,4 +151,5 @@ def simplex_solve(model: LpModel) -> BasicSolution:
         values=tuple(values),
         objective=objective,
         iterations=iterations,
+        duals=tuple(_divided_by_gcd(reduced[n : n + m])),
     )

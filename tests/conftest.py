@@ -8,6 +8,7 @@ results are checked against separately written logic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -377,11 +378,18 @@ def fraction_simplex_reference(model: LpModel) -> BasicSolution:
         if var < n:
             values[var] = tableau[i][-1]
     objective = sum((c * v for c, v in zip(model.objective, values)), Fraction(0))
+    # The model rows' duals sit in their slack columns; as integers, the
+    # smallest vector on their ray.
+    duals = reduced[n : n + len(model.rows)]
+    scale = math.lcm(*(y.denominator for y in duals))
+    ints = [int(y * scale) for y in duals]
+    common = math.gcd(*ints) or 1
     return BasicSolution(
         var_names=model.var_names,
         values=tuple(values),
         objective=objective,
         iterations=iterations,
+        duals=tuple(x // common for x in ints),
     )
 
 

@@ -28,6 +28,7 @@ from grouppb import (
     min_group_deletion_set,
     min_project_deletion_set,
     normalize,
+    solve_bnb,
     solve_bruteforce,
     solve_dimdp,
     solve_fptas_g,
@@ -169,6 +170,7 @@ def test_acceptance_2_exact_solvers_agree(capsys):
             types_out = solve_types_max(inst)
             assert types_out.utility == oracle.optimum
             assert types_out.bundle == oracle.witness
+            assert solve_bnb(inst).bundle == oracle.witness
             if table_cells(inst) <= DIMDP_CELL_GATE:
                 dim_out = solve_dimdp(inst)
                 assert dim_out.utility == oracle.optimum
@@ -383,11 +385,12 @@ def test_acceptance_8_determinism(capsys):
         for inst in sample:
             assert solve_bruteforce(inst) == solve_bruteforce(inst)
             assert solve_types_max(inst) == solve_types_max(inst)
+            assert solve_bnb(inst) == solve_bnb(inst)
             assert solve_lp_round(inst) == solve_lp_round(inst)
             assert solve_fptas_g(inst, Fraction(1, 2)) == solve_fptas_g(inst, Fraction(1, 2))
             if table_cells(inst) <= DIMDP_CELL_GATE:
                 assert solve_dimdp(inst) == solve_dimdp(inst)
-            runs += 5
+            runs += 6
         assert solve_hier(hier_inst) == solve_hier(hier_inst)
         ganal = min_group_deletion_set(crossing_inst.groups)
         assert ganal == min_group_deletion_set(crossing_inst.groups)

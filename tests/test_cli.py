@@ -11,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from grouppb import (
     Bundle,
+    GenParams,
     Group,
     Instance,
     Project,
     Voter,
     check_bundle,
+    gen_random,
     is_hierarchical,
+    normalize,
     parse_instance,
     serialize_instance,
     solve_bruteforce,
@@ -103,8 +106,51 @@ def test_solve_auto_picks_hier_on_district_pair(capsys):
     assert "auto selected hier" in err
 
 
+def test_solve_auto_picks_bnb_on_a_crossing_family(capsys, crossing_file):
+    code, out, err = run_cli(capsys, "solve", crossing_file)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == "bnb" and payload["exact"] is True
+    assert payload["bundle"] == {"ids": ["a", "b", "c"], "cost": 3, "utility": 3}
+    assert payload["stats"]["cells"] == 0
+    assert "auto selected bnb" in err
+
+
+def test_auto_equals_bruteforce_on_crossing_families(capsys, tmp_path):
+    checked = 0
+    for seed in range(40):
+        m = 8 + 2 * (seed % 7)
+        params = GenParams(m=m, n=4 * m, g=3 + seed % 3, seed=seed, approvals_hi=4)
+        inst, _ = normalize(gen_random(params))
+        if is_hierarchical(inst.groups):
+            continue
+        path = write_instance(tmp_path, inst)
+        bundles = []
+        for algo in ("auto", "bruteforce"):
+            code, out, _ = run_cli(capsys, "solve", path, "--algo", algo)
+            assert code == 0
+            bundles.append(json.dumps(json.loads(out)["bundle"], sort_keys=True))
+        assert bundles[0] == bundles[1], seed
+        checked += 1
+    assert checked >= 20
+
+
+def test_auto_names_the_node_cap_before_falling_back_to_lp_round(capsys, tmp_path):
+    params = GenParams(m=30, n=120, g=4, seed=1, approvals_hi=4)
+    inst, _ = normalize(gen_random(params))
+    assert len(inst.projects) > 24 and not is_hierarchical(inst.groups)
+    path = write_instance(tmp_path, inst)
+    code, out, err = run_cli(capsys, "solve", path, "--node-cap", "1", "--cell-cap", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == "lp-round" and payload["exact"] is False
+    assert "bnb stopped: node cap of 1 reached after exploring 1 nodes" in err
+    assert err.index("bnb stopped") < err.index("auto fell back to lp-round")
+    assert "dimdp" not in err
+
+
 @pytest.mark.parametrize(
-    "algo", ["bruteforce", "hier", "group-del", "proj-del", "types", "dimdp"]
+    "algo", ["bruteforce", "hier", "bnb", "group-del", "proj-del", "types", "dimdp"]
 )
 def test_every_exact_algo_agrees_on_district_pair(capsys, algo):
     code, out, _ = run_cli(capsys, "solve", DISTRICT, "--algo", algo)

@@ -56,6 +56,26 @@ def test_competing_rows_meet_at_a_fractional_vertex():
     assert sol.fractional_vars() == ("a", "b")
 
 
+def test_duals_are_the_smallest_integers_on_their_ray():
+    # max 2a + 3b, a + 2b <= 1, 2a + b <= 1: y = (4/3, 1/3) solves y A = c.
+    sol = simplex_solve(model("ab", [2, 3], [([1, 2], 1), ([2, 1], 1)]))
+    assert sol.values == (F(1, 3), F(1, 3))
+    assert sol.duals == (4, 1)
+    # A slack row prices at zero, and scaling a row rescales its dual only.
+    sol = simplex_solve(model("ab", [2, 3], [([2, 4], 2), ([2, 1], 1), ([1, 1], 5)]))
+    assert sol.duals == (2, 1, 0)
+
+
+def test_duals_price_only_tight_rows():
+    # Complementary slackness on the relaxation corpus.
+    for m in relaxation_corpus(25, 0):
+        sol = simplex_solve(m)
+        assert len(sol.duals) == len(m.rows) and min(sol.duals, default=0) >= 0
+        for row, y in zip(m.rows, sol.duals):
+            if y > 0:
+                assert sum(c * v for c, v in zip(row.coeffs, sol.values)) == row.rhs
+
+
 def test_solution_is_deterministic():
     m = model("abc", [2, 3, 2], [([2, 2, 0], 3), ([0, 2, 2], 3)])
     assert simplex_solve(m) == simplex_solve(m)
