@@ -27,7 +27,6 @@ from .core import (
 from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
 from .distsolve import (
     DEFAULT_DEPTH_CAP,
-    DEFAULT_NODE_CAP,
     min_group_deletion_set,
     min_project_deletion_set,
     solve_group_deletion,
@@ -59,17 +58,13 @@ from .layers import (
 from .milp import build_milp, export_lp_format
 from .oracle import DEFAULT_SIZE_CAP, solve_bruteforce
 from .profile import at_least, decode
-from .typesolve import solve_types_decision, solve_types_max, type_index
+from .typesolve import DEFAULT_NODE_CAP, solve_types_decision, solve_types_max, type_index
 from . import __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_RESOURCE = 4
-
-# analyze computes the exact layerwidth, a backtracking search, only up to
-# this many groups.
-EXACT_WIDTH_CAP = 12
 
 ALGOS = (
     "auto",
@@ -83,6 +78,8 @@ ALGOS = (
     "lp-round",
     "fptas-g",
 )
+# The algorithms that answer --decision-u queries, besides auto.
+DECISION_ALGOS = ("bruteforce", "hier", "types")
 
 USAGE_ERRORS = (GroupPBError,)
 RESOURCE_ERRORS = (TooLarge, TableTooLarge, SearchBudgetExceeded)
@@ -215,27 +212,24 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
     """The cheapest feasible bundle with utility at least target, or None.
 
     Ties go to the smallest sorted id tuple, so every algorithm returns the
-    at-least cell of the cost profile (profile.at_least).
+    at-least cell of the cost profile (profile.at_least): bruteforce and
+    hier read it from their full profiles.
     """
-    if algo == "bruteforce":
-        profile = solve_bruteforce(inst).profile
-        cells = at_least(list(profile.cells))
-        cell = cells[target] if target < len(cells) else None
-        return None if cell is None else make_bundle(inst, decode(cell[1], profile.ids))
-    if algo == "hier":
-        outcome = solve_hier(inst, u_cap=target)
-        return outcome.bundle if outcome.utility >= target else None
     if algo == "types":
         return solve_types_decision(inst, target, node_cap=args.node_cap)
-    raise AssertionError(f"unhandled decision algorithm {algo}")
+    profile = _run_solver(inst, algo, args)[0].profile
+    cells = at_least(list(profile.cells))
+    cell = cells[target] if target < len(cells) else None
+    return None if cell is None else make_bundle(inst, decode(cell[1], profile.ids))
 
 
 def cmd_solve(args) -> int:
     inst = _load_normalized(args.instance)
     decision = args.decision_u is not None
-    if decision and args.algo not in ("auto", "bruteforce", "hier", "types"):
+    if decision and args.algo not in ("auto",) + DECISION_ALGOS:
+        supported = ", ".join(DECISION_ALGOS[:-1]) + ", or " + DECISION_ALGOS[-1]
         print(
-            f"error: decision queries support only bruteforce, hier, or types, not {args.algo}",
+            f"error: decision queries support only {supported}, not {args.algo}",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -310,10 +304,10 @@ def cmd_analyze(args) -> int:
 
     two = two_layer_decomposition(inst.groups)
     greedy = greedy_layers(inst.groups)
-    exact_width = None
-    if stats.g <= EXACT_WIDTH_CAP:
+    try:
         exact_width = exact_layerwidth(inst.groups)
-    else:
+    except TooLarge:
+        exact_width = None
         notes.append("exact layerwidth skipped: too many groups")
 
     ordered = None

@@ -27,9 +27,9 @@ from .core import (
 from .errors import InvalidDeletion, SearchBudgetExceeded
 from .hiersolve import solve_hier
 from .layers import crossing_pair
+from .typesolve import DEFAULT_NODE_CAP
 
 DEFAULT_DEPTH_CAP = 8
-DEFAULT_NODE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)

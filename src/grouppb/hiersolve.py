@@ -7,7 +7,8 @@ cost.  Each node then gets a per-utility cost profile: the cheapest bundle of
 its subtree achieving each exact utility.  Children combine by min-plus
 convolution, and the node's budget erases entries it cannot afford.  The root
 profile answers every question at once: the optimum is its highest reachable
-utility.
+utility, and the cheapest bundle reaching a target is the target's cell of
+its suffix minima (profile.at_least).
 """
 
 from __future__ import annotations
@@ -72,19 +73,15 @@ def build_hier_tree(inst: Instance) -> HierNode:
     return build(None, inst.budget)
 
 
-def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
+def solve_hier(inst: Instance) -> SolveOutcome:
     """Optimum bundle and full per-utility cost profile for a hierarchical family.
 
-    With u_cap set, the utility axis saturates there: the top profile entry
-    then means "utility at least u_cap", which keeps decision queries sound
-    when bundles can only overshoot the target.  Without a cap the axis runs
-    to the total approval score and every entry is exact.
+    The utility axis runs to the total approval score and every entry is
+    exact.
     """
     require_no_utility_floors(inst)
     root = build_hier_tree(inst)
     scores = approval_scores(inst)
-    total_score = sum(scores.values())
-    cap = total_score if u_cap is None else min(u_cap, total_score)
 
     ids = tuple(sorted(scores))
     bit = rank_bits(ids)
@@ -92,11 +89,11 @@ def solve_hier(inst: Instance, u_cap: int | None = None) -> SolveOutcome:
 
     def evaluate(node: HierNode) -> list[Cell]:
         if node.project is not None:
-            profile = item(scores[node.project], node.budget, bit[node.project], cap)
+            profile = item(scores[node.project], node.budget, bit[node.project])
         else:
             profile = [(0, 0)]
             for child in node.children:
-                profile = combine(profile, evaluate(child), cap)
+                profile = combine(profile, evaluate(child))
             cut(profile, node.budget)
         stats.cells += len(profile)
         return profile

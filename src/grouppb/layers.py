@@ -16,6 +16,9 @@ from typing import Mapping, Sequence
 from .core import Group
 from .errors import NotHierarchical, TooLarge
 
+# exact_layerwidth, a backtracking search, runs only up to this many groups.
+EXACT_WIDTH_CAP = 12
+
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -221,13 +224,15 @@ def greedy_layers(groups: Sequence[Group]) -> LayerDecomposition:
     )
 
 
-def exact_layerwidth(groups: Sequence[Group], size_cap: int = 20) -> int:
+def exact_layerwidth(groups: Sequence[Group]) -> int:
     """Exact chromatic number of the intersection graph by backtracking.
 
-    Refuses families larger than size_cap outright.
+    Refuses families of more than EXACT_WIDTH_CAP groups outright.
     """
-    if len(groups) > size_cap:
-        raise TooLarge(f"exact layerwidth over {len(groups)} groups exceeds the cap of {size_cap}")
+    if len(groups) > EXACT_WIDTH_CAP:
+        raise TooLarge(
+            f"exact layerwidth over {len(groups)} groups exceeds the cap of {EXACT_WIDTH_CAP}"
+        )
     graph = conflict_graph(groups)
     if not graph.vertices:
         return 0

@@ -12,6 +12,10 @@ of a ^ b is the smallest id in exactly one of the two bundles, and both
 tuples agree before it.  The bundle holding that id is the smaller tuple,
 unless the other tuple ends there, since a proper prefix is smaller.  So
 ``before`` is exactly tuple order, for nested bundles too.
+
+The utility axis is never capped: a profile over projects of total score s
+has s + 1 cells, so cell z always means exactly z.  A question about
+utility at least a target reads the target's cell of ``at_least``.
 """
 
 from __future__ import annotations
@@ -42,26 +46,21 @@ def before(a: int, b: int) -> bool:
     return bool(b & (top - 1)) if a & top else not a & (top - 1)
 
 
-def item(score: int, cost: int, bit: int, cap: int) -> list[Cell]:
+def item(score: int, cost: int, bit: int) -> list[Cell]:
     """One project's profile; without score it never beats the empty bundle."""
-    z = min(score, cap)
-    return [(0, 0)] + [None] * (z - 1) + [(cost, bit)] if z > 0 else [(0, 0)]
+    return [(0, 0)] + [None] * (score - 1) + [(cost, bit)] if score > 0 else [(0, 0)]
 
 
-def combine(left: list[Cell], right: list[Cell], cap: int) -> list[Cell]:
-    """Min-plus convolution of the profiles of two disjoint sets of projects.
-
-    The utility axis saturates at cap: the last cell then holds the cheapest
-    bundle of utility cap or more.
-    """
-    out: list[Cell] = [None] * (min(len(left) + len(right) - 2, cap) + 1)
+def combine(left: list[Cell], right: list[Cell]) -> list[Cell]:
+    """Min-plus convolution of the profiles of two disjoint sets of projects."""
+    out: list[Cell] = [None] * (len(left) + len(right) - 1)
     reachable = [(z, cell[0], cell[1]) for z, cell in enumerate(right) if cell is not None]
     for z1, cell in enumerate(left):
         if cell is None:
             continue
         c1, w1 = cell
         for z2, c2, w2 in reachable:
-            z, cost = min(z1 + z2, cap), c1 + c2
+            z, cost = z1 + z2, c1 + c2
             old = out[z]
             if old is None or cost < old[0] or cost == old[0] and before(w1 | w2, old[1]):
                 out[z] = (cost, w1 | w2)

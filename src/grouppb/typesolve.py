@@ -69,10 +69,9 @@ def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
 
     tables = []
     for entry in index.types:
-        total = sum(scores[pid] for pid in entry.members)
         reach: list[Cell] = [(0, 0)]
         for pid in entry.members:
-            reach = combine(reach, item(scores[pid], cost[pid], bit[pid], total), total)
+            reach = combine(reach, item(scores[pid], cost[pid], bit[pid]))
         tables.append(reach)
     return tables
 

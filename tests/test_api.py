@@ -1,6 +1,7 @@
 """The package's public surface is the list README's "Library API" section gives."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -31,3 +32,24 @@ def test_all_is_the_documented_api():
 def test_each_name_lives_where_readme_says():
     for name, module in _documented().items():
         assert getattr(grouppb, name) is getattr(importlib.import_module(module), name)
+
+
+def test_solver_parameters_are_pinned():
+    # A library knob added or removed here shows up in review as a change to this test.
+    solvers = {
+        name: tuple(inspect.signature(getattr(grouppb, name)).parameters)
+        for name in grouppb.__all__
+        if name.startswith("solve_")
+    }
+    assert solvers == {
+        "solve_bruteforce": ("inst", "size_cap"),
+        "solve_hier": ("inst",),
+        "solve_bnb": ("inst", "node_cap"),
+        "solve_group_deletion": ("inst", "deleted_group_ids", "node_cap"),
+        "solve_project_deletion": ("inst", "deleted_project_ids", "node_cap"),
+        "solve_types_max": ("inst", "node_cap"),
+        "solve_types_decision": ("inst", "u", "node_cap"),
+        "solve_dimdp": ("inst", "cell_cap"),
+        "solve_lp_round": ("inst",),
+        "solve_fptas_g": ("inst", "epsilon", "node_cap"),
+    }

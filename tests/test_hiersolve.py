@@ -17,8 +17,10 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
+from grouppb.core import ProfileEntry
 from grouppb.errors import NotHierarchical
 from grouppb.hiersolve import build_hier_tree
+from grouppb.profile import at_least, decode
 
 from conftest import hier_tree_reference, hier_tuple_reference, raw_instances
 
@@ -106,15 +108,18 @@ def test_matches_oracle_with_full_profile(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 12))
-def test_capped_axis_answers_decision_queries(seed, target):
+def test_at_least_cell_answers_decision_queries(seed, target):
     inst = laminar_instance(seed, m=7)
     oracle = solve_bruteforce(inst)
-    out = solve_hier(inst, u_cap=target)
-    satisfiable = oracle.optimum >= target
-    assert (out.utility >= target) == satisfiable
-    if satisfiable and target > 0:
-        report = check_bundle(inst, out.bundle.ids)
-        assert report.feasible and report.utility >= target
+    cells = at_least(list(solve_hier(inst).profile.cells))
+    expected = at_least(list(oracle.profile.cells))
+    assert len(cells) == len(expected)
+    cell = cells[target] if target < len(cells) else None
+    assert (cell is not None) == (oracle.optimum >= target)
+    assert cell == (expected[target] if target < len(expected) else None)
+    if cell is not None and target > 0:
+        report = check_bundle(inst, decode(cell[1], sorted(p.id for p in inst.projects)))
+        assert report.feasible and report.utility >= target and report.cost == cell[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,10 +198,15 @@ def test_matches_tuple_reference_above_bruteforce_sizes(shape, m, seed):
         )
     )
     for inst in (raw, normalize(raw)[0]):
-        optimum = hier_tuple_reference(inst)[0].utility
-        # Caps of 1 and 3 saturate early, where nested bundles of equal cost tie.
-        for u_cap in (None, optimum, optimum // 2, 1, 3):
-            out = solve_hier(inst, u_cap=u_cap)
-            ref, entries = hier_tuple_reference(inst, u_cap)
-            assert out.profile.entries == entries
-            assert replace(out, profile=None) == ref
+        out = solve_hier(inst)
+        ref, entries = hier_tuple_reference(inst)
+        assert out.profile.entries == entries
+        assert replace(out, profile=None) == ref
+        # The reference's capped top entry is the at-least cell of the full
+        # profile.  Caps of 1 and 3 saturate early, where nested bundles of
+        # equal cost tie.
+        cells = at_least(list(out.profile.cells))
+        for u_cap in (ref.utility, ref.utility // 2, 1, 3):
+            cost, mask = cells[u_cap]
+            top = hier_tuple_reference(inst, u_cap)[1][-1]
+            assert ProfileEntry(cost, decode(mask, out.profile.ids)) == top

@@ -22,16 +22,15 @@ def test_before_is_the_order_of_sorted_id_tuples():
 
 
 def test_combine_cut_and_at_least_on_two_projects():
-    a = item(2, 3, 0b10, cap=9)  # score 2, cost 3
-    b = item(1, 0, 0b01, cap=9)  # score 1, free
+    a = item(2, 3, 0b10)  # score 2, cost 3
+    b = item(1, 0, 0b01)  # score 1, free
     assert a == [(0, 0), None, (3, 0b10)]
-    both = combine(a, b, cap=9)
+    both = combine(a, b)
     assert both == [(0, 0), (0, 0b01), (3, 0b10), (3, 0b11)]
-    assert combine(a, b, cap=2) == [(0, 0), (0, 0b01), (3, 0b10)]  # (3, 0b10) before (3, 0b11)
     cut(both, 2)
     assert both == [(0, 0), (0, 0b01), None, None]
     assert at_least([(0, 0), None, (5, 0b10), (4, 0b11)]) == [(0, 0), (4, 0b11), (4, 0b11), (4, 0b11)]
-    assert item(0, 1, 0b1, cap=9) == item(3, 1, 0b1, cap=0) == [(0, 0)]
+    assert item(0, 1, 0b1) == [(0, 0)]
 
 
 def test_with_idle_adds_the_idle_ids_before_the_last_other_id():
