@@ -217,7 +217,9 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
     """
     if algo == "types":
         return solve_types_decision(inst, target, node_cap=args.node_cap)
-    profile = _run_solver(inst, algo, args)[0].profile
+    # The solver's own profile, not its outcome: bruteforce's outcome raises
+    # when no bundle is feasible (unmeetable floors), which is a "no" here.
+    profile = (solve_bruteforce(inst) if algo == "bruteforce" else solve_hier(inst)).profile
     cells = at_least(list(profile.cells))
     cell = cells[target] if target < len(cells) else None
     return None if cell is None else make_bundle(inst, decode(cell[1], profile.ids))

@@ -63,30 +63,29 @@ def crossing_file(tmp_path):
     return str(path)
 
 
+def floor_instance(floor):
+    return Instance(
+        budget=5,
+        projects=(
+            Project(id="p1", cost=2),
+            Project(id="p2", cost=1),
+            Project(id="p3", cost=3),
+            Project(id="p4", cost=1),
+        ),
+        voters=(
+            Voter(id="v1", approves=frozenset({"p1", "p2", "p3"})),
+            Voter(id="v2", approves=frozenset({"p3", "p4"})),
+        ),
+        groups=(
+            Group(id="F1", members=frozenset({"p1", "p3"}), budget=3, min_utility=floor),
+            Group(id="F2", members=frozenset({"p2", "p4"}), budget=2),
+        ),
+    )
+
+
 @pytest.fixture
 def floor_file(tmp_path):
-    inst = validate_instance(
-        Instance(
-            budget=5,
-            projects=(
-                Project(id="p1", cost=2),
-                Project(id="p2", cost=1),
-                Project(id="p3", cost=3),
-                Project(id="p4", cost=1),
-            ),
-            voters=(
-                Voter(id="v1", approves=frozenset({"p1", "p2", "p3"})),
-                Voter(id="v2", approves=frozenset({"p3", "p4"})),
-            ),
-            groups=(
-                Group(id="F1", members=frozenset({"p1", "p3"}), budget=3, min_utility=2),
-                Group(id="F2", members=frozenset({"p2", "p4"}), budget=2),
-            ),
-        )
-    )
-    path = tmp_path / "floors.json"
-    path.write_text(serialize_instance(inst))
-    return str(path)
+    return write_instance(tmp_path, floor_instance(2), "floors.json")
 
 
 def write_instance(tmp_path, inst, name="inst.json") -> str:
@@ -242,6 +241,17 @@ def test_decision_with_floors_routes_to_bruteforce(capsys, floor_file):
     payload = json.loads(out)
     assert payload["algorithm"] == "bruteforce"
     assert payload["bundle"]["utility"] >= 4
+
+
+@pytest.mark.parametrize("target", [0, 4])
+def test_decision_with_an_unmeetable_floor_is_unsatisfiable(capsys, tmp_path, target):
+    # Meeting F1's floor needs p1 and p3, which overrun its budget: no bundle is feasible.
+    path = write_instance(tmp_path, floor_instance(3), "floors.json")
+    code, out, err = run_cli(capsys, "solve", path, "--decision-u", str(target))
+    assert code == 3, err
+    payload = json.loads(out)
+    assert payload["algorithm"] == "bruteforce"
+    assert payload["decision"] == {"satisfiable": False, "target": target}
 
 
 def _cheapest_reaching(inst, target):
