@@ -1,0 +1,68 @@
+"""Print what `grouppb solve` answers on every instance file of a directory.
+
+For each *.json file in DIR, in name order, grouppb.cli.main runs in-process
+once per argument set in RUNS.  Each run prints one JSON line with the file
+name, the arguments, the exit code, stderr, and stdout with the one timing
+field, stats.wall_time_s, removed.  So two versions of the program compare
+by diff:
+
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py DIR > after.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from grouppb.cli import main
+
+RUNS = (
+    [],
+    ["--profile"],
+    ["--decision-u", "50"],
+    ["--decision-u", "400"],
+    ["--algo", "bnb"],
+    ["--algo", "types"],
+    ["--algo", "fptas-g"],
+    ["--algo", "dimdp"],
+)
+
+
+def _untimed(stdout: str) -> str:
+    """stdout without stats.wall_time_s, when it is a JSON object."""
+    try:
+        payload = json.loads(stdout)
+    except json.JSONDecodeError:
+        return stdout
+    payload.get("stats", {}).pop("wall_time_s", None)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def snapshot(path: Path, extra: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path), *extra])
+    return {
+        "args": extra,
+        "exit": code,
+        "file": path.name,
+        "stderr": err.getvalue(),
+        "stdout": _untimed(out.getvalue()),
+    }
+
+
+def run() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir", type=Path, help="directory of instance JSON files")
+    args = parser.parse_args()
+    for path in sorted(args.dir.glob("*.json")):
+        for extra in RUNS:
+            print(json.dumps(snapshot(path, extra), sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

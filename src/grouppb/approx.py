@@ -17,20 +17,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
     approval_scores,
+    bundle_of,
     individually_feasible,
     make_bundle,
     preference_key,
     require_no_utility_floors,
-    with_idle,
 )
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, LpModel, LpRow, simplex_solve
-from .profile import Cell, decode
+from .profile import Cell, before
 from .typesolve import DEFAULT_NODE_CAP, type_index, type_min_cost_tables
 
 
@@ -123,8 +122,6 @@ def solve_fptas_g(
 
     index = type_index(inst)
     tables = type_min_cost_tables(inst, index)
-    scores = approval_scores(inst)
-    ids = sorted(scores)
     candidates = [_bucket_candidates(table, one_plus_eps) for table in tables]
 
     estimate = 1
@@ -138,15 +135,15 @@ def solve_fptas_g(
     budget_of = {f.id: f.budget for f in inst.groups}
     stats = SolveStats(cells=sum(len(t) for t in tables))
     group_spend = {gid: 0 for gid in budget_of}
-    best: Bundle | None = None
+    best = (0, 0, 0)  # (utility, cost, mask) of the preferred leaf; skipping every type is one
 
     def rec(i: int, utility: int, spent: int, mask: int) -> None:
         nonlocal best
         stats.nodes += 1
         if i == len(index.types):
-            candidate = Bundle(ids=decode(mask, ids), cost=spent, utility=utility)
-            if best is None or preference_key(candidate) < preference_key(best):
-                best = candidate
+            u, c, w = best
+            if utility > u or utility == u and (spent < c or spent == c and before(mask, w)):
+                best = (utility, spent, mask)
             return
         rec(i + 1, utility, spent, mask)  # skip this type entirely
         touched = index.types[i].groups
@@ -162,7 +159,6 @@ def solve_fptas_g(
                 group_spend[gid] -= cost
 
     rec(0, 0, 0, 0)
-    assert best is not None  # skipping everything yields the empty bundle
-    assert best.utility == sum(scores[pid] for pid in best.ids)
-    best = with_idle(inst, scores, best)
-    return SolveOutcome(algorithm="fptas-g", bundle=best, guarantee=one_plus_eps, stats=stats)
+    bundle = bundle_of(inst, best[2])
+    assert (bundle.utility, bundle.cost) == best[:2]
+    return SolveOutcome(algorithm="fptas-g", bundle=bundle, guarantee=one_plus_eps, stats=stats)

@@ -6,7 +6,7 @@ bundles by utility first and then by least cost, and one search finds the
 canonical utility and cost.  Every project in the search has a positive key:
 it fits every budget on its own and has a positive score.  Projects of score
 0 never enter; the idle ones (cost 0 too) are added at the end by
-profile.with_idle.
+core.bundle_of, the idle rule's home.
 
 The nodes are visited depth first, including a project before excluding it.
 Projects are branched on in descending value at the root LP optimum
@@ -34,17 +34,17 @@ from operator import itemgetter
 
 from .approx import lp_relaxation
 from .core import (
-    Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
     approval_scores,
+    bundle_of,
     individually_feasible,
     require_no_utility_floors,
 )
 from .errors import SearchBudgetExceeded
 from .lp import simplex_solve
-from .profile import before, decode, rank_bits, with_idle
+from .profile import before, rank_bits
 from .typesolve import DEFAULT_NODE_CAP, type_index
 
 
@@ -70,8 +70,7 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     require_no_utility_floors(inst)
     scores = approval_scores(inst)
     cost = {p.id: p.cost for p in inst.projects}
-    ids = sorted(scores)
-    bit = rank_bits(ids)
+    bit = rank_bits(sorted(scores))
     big = inst.budget + 1
 
     model = lp_relaxation(inst)
@@ -118,7 +117,7 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     path: list[int] = []  # the branch positions taken
     d = nodes = 0
     while True:
-        if nodes == node_cap:
+        if nodes >= node_cap:
             raise SearchBudgetExceeded(f"node cap of {node_cap} reached after exploring {nodes} nodes")
         nodes += 1
         least = min(res)  # a project costing no more fits without a closer look
@@ -174,11 +173,4 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
             path.append(d)
         d += 1
 
-    idle = sum(bit[pid] for pid in ids if not cost[pid] and not scores[pid])
-    chosen = decode(with_idle(best_mask, idle), ids)
-    bundle = Bundle(
-        ids=chosen,
-        cost=sum(cost[pid] for pid in chosen),
-        utility=sum(scores[pid] for pid in chosen),
-    )
-    return SolveOutcome(algorithm="bnb", bundle=bundle, stats=SolveStats(nodes=nodes))
+    return SolveOutcome(algorithm="bnb", bundle=bundle_of(inst, best_mask), stats=SolveStats(nodes=nodes))

@@ -19,9 +19,9 @@ from .bnbsolve import solve_bnb
 from .core import (
     Bundle,
     Instance,
+    bundle_of,
     check_bundle,
     derived_stats,
-    make_bundle,
     normalize,
 )
 from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
@@ -57,7 +57,7 @@ from .layers import (
 )
 from .milp import build_milp, export_lp_format
 from .oracle import DEFAULT_SIZE_CAP, solve_bruteforce
-from .profile import at_least, decode
+from .profile import at_least
 from .typesolve import DEFAULT_NODE_CAP, solve_types_decision, solve_types_max, type_index
 from . import __version__
 
@@ -222,7 +222,7 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
     profile = (solve_bruteforce(inst) if algo == "bruteforce" else solve_hier(inst)).profile
     cells = at_least(list(profile.cells))
     cell = cells[target] if target < len(cells) else None
-    return None if cell is None else make_bundle(inst, decode(cell[1], profile.ids))
+    return None if cell is None else bundle_of(inst, cell[1])
 
 
 def cmd_solve(args) -> int:
@@ -408,17 +408,17 @@ def cmd_export_milp(args) -> int:
     return EXIT_OK
 
 
-def _target(text: str) -> int:
-    """A --decision-u value: a whole number of at least 0."""
+def _whole(text: str) -> int:
+    """A --decision-u or cap value: a whole number of at least 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 0, not {text!r}")
     return int(text)
 
 
 def _add_cap_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    parser.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
-    parser.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    parser.add_argument("--node-cap", type=_whole, default=DEFAULT_NODE_CAP)
+    parser.add_argument("--cell-cap", type=_whole, default=DEFAULT_CELL_CAP)
+    parser.add_argument("--depth-cap", type=_whole, default=DEFAULT_DEPTH_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accuracy for fptas-g, e.g. 1/2 or 0.25",
     )
     p_solve.add_argument(
-        "--decision-u", type=_target, default=None, help="ask for utility at least this"
+        "--decision-u", type=_whole, default=None, help="ask for utility at least this"
     )
     p_solve.add_argument("--profile", action="store_true", help="include the cost profile")
     p_solve.add_argument("-o", "--output", default=None)
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="report structure of the group family")
     p_analyze.add_argument("instance")
-    p_analyze.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    p_analyze.add_argument("--depth-cap", type=_whole, default=DEFAULT_DEPTH_CAP)
     p_analyze.add_argument("-o", "--output", default=None)
     p_analyze.set_defaults(func=cmd_analyze)
 

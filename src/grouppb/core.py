@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInstance, UnknownProject, ValidationIssue
-from .profile import Cell, decode, rank_bits, with_idle as with_idle_mask
+from .profile import Cell, decode, rank_bits, with_idle
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -96,12 +96,6 @@ class FeasibilityReport:
 
 
 @dataclass(frozen=True)
-class ProfileEntry:
-    cost: int
-    ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class UtilityCostProfile:
     """cells[z] is the cheapest feasible bundle of utility exactly z, or None.
 
@@ -112,16 +106,18 @@ class UtilityCostProfile:
     cells: tuple[Cell, ...]
     ids: tuple[str, ...]
 
-    @property
-    def entries(self) -> tuple[ProfileEntry | None, ...]:
-        return tuple(None if c is None else ProfileEntry(c[0], decode(c[1], self.ids)) for c in self.cells)
+    def _entry(self, z: int) -> Bundle | None:
+        cell = self.cells[z]
+        return None if cell is None else Bundle(ids=decode(cell[1], self.ids), cost=cell[0], utility=z)
 
-    def optimum(self) -> tuple[int, ProfileEntry] | None:
-        for z in range(len(self.cells) - 1, -1, -1):
-            cell = self.cells[z]
-            if cell is not None:
-                return z, ProfileEntry(cell[0], decode(cell[1], self.ids))
-        return None
+    @property
+    def entries(self) -> tuple[Bundle | None, ...]:
+        return tuple(self._entry(z) for z in range(len(self.cells)))
+
+    def optimum(self) -> Bundle | None:
+        """The bundle of the highest reachable utility; None when none is."""
+        top = max((z for z, cell in enumerate(self.cells) if cell is not None), default=None)
+        return None if top is None else self._entry(top)
 
 
 @dataclass
@@ -172,22 +168,28 @@ def approval_scores(inst: Instance) -> dict[str, int]:
     return scores
 
 
-def with_idle(inst: Instance, scores: dict[str, int], bundle: Bundle) -> Bundle:
-    """The bundle with the idle projects that make its sorted id tuple smallest.
+def bundle_of(inst: Instance, mask: int) -> Bundle:
+    """The canonical bundle of a rank mask over the sorted project ids.
 
-    An idle project costs 0 and has score 0, so adding one changes no cost,
-    no utility and no budget.  It makes the id tuple smaller when it sorts
-    before the bundle's last other project, and longer, so larger, after it.
-    So add every idle project, then drop the trailing run of them.  The
-    result depends only on the bundle's other projects and keeps their tuple
-    order, so a solver that never takes an idle project gets the canonical
-    witness by applying this to its own.
+    This is where every exact solver's witness ends.  An idle project costs 0
+    and has score 0, so adding one changes no cost, no utility and no budget.
+    It makes the id tuple smaller when it sorts before the bundle's last
+    other project, and longer, so larger, after it.  So the bundle takes
+    every idle project and drops the trailing run of them (profile.with_idle).
+    The result depends only on the mask's other projects, so a solver that
+    never takes an idle project gets the canonical witness too.
     """
+    scores = approval_scores(inst)
+    cost = {p.id: p.cost for p in inst.projects}
     ids = sorted(scores)
     bit = rank_bits(ids)
-    idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
-    mask = with_idle_mask(sum(bit[pid] for pid in bundle.ids), idle)
-    return Bundle(ids=decode(mask, ids), cost=bundle.cost, utility=bundle.utility)
+    idle = sum(bit[pid] for pid in ids if not cost[pid] and not scores[pid])
+    chosen = decode(with_idle(mask, idle), ids)
+    return Bundle(
+        ids=chosen,
+        cost=sum(cost[pid] for pid in chosen),
+        utility=sum(scores[pid] for pid in chosen),
+    )
 
 
 def individually_feasible(inst: Instance) -> tuple[str, ...]:

@@ -27,8 +27,8 @@ only, which is exact because a cell depends only on the cells at or below it.
 
 Where the walk's bundle and another optimum first differ, the walk's holds
 the project, so the smaller id tuple can only be a proper prefix of it: the
-walk takes every idle project (cost 0, score 0), and core.with_idle drops
-the trailing run of them.
+walk takes every idle project (cost 0, score 0), and core.bundle_of, the
+idle rule's home, drops the trailing run of them.
 """
 
 from __future__ import annotations
@@ -37,16 +37,16 @@ from math import ceil, prod, sqrt
 from typing import TYPE_CHECKING
 
 from .core import (
-    Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
     approval_scores,
+    bundle_of,
     individually_feasible,
     require_no_utility_floors,
-    with_idle,
 )
 from .errors import TableTooLarge
+from .profile import rank_bits
 from .typesolve import type_index
 
 if TYPE_CHECKING:
@@ -123,18 +123,18 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
             _add(part, score, vector)
         return int(part[tuple(box)])
 
-    chosen: list[str] = []
+    bit = rank_bits(sorted(scores))
+    mask = 0
     u_rem, c_rem = best_utility, best_cost
     room = limits[:-1]
     for pos, (pid, cost, score, vector) in enumerate(usable):
         box = [r - v for r, v in zip(room, vector)] + [c_rem - cost]
         if min(box) >= 0 and suffix_cell(pos + 1, box) >= u_rem - score:
-            chosen.append(pid)
+            mask |= bit[pid]
             room = box[:-1]
             u_rem -= score
             c_rem -= cost
     assert u_rem == 0 and c_rem == 0
 
-    bundle = with_idle(inst, scores, Bundle(ids=tuple(chosen), cost=best_cost, utility=best_utility))
     stats = SolveStats(nodes=n * cells, cells=cells)
-    return SolveOutcome(algorithm="dimdp", bundle=bundle, stats=stats)
+    return SolveOutcome(algorithm="dimdp", bundle=bundle_of(inst, mask), stats=stats)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
@@ -38,9 +37,6 @@ class HierNode:
     budget: int
     children: tuple["HierNode", ...]
 
-    def count(self) -> int:
-        return 1 + sum(child.count() for child in self.children)
-
 
 def build_hier_tree(inst: Instance) -> HierNode:
     """The root of the budget tree described above, for a hierarchical family.
@@ -49,6 +45,7 @@ def build_hier_tree(inst: Instance) -> HierNode:
     projects in id order.  Empty groups impose nothing on any bundle and are
     left out.  Raises NotHierarchical when some pair of groups overlaps
     without nesting (which includes duplicate member sets; normalize first).
+    The tree is built smallest group first, so no nesting depth recurses.
     """
     if not is_hierarchical(inst.groups):
         raise NotHierarchical("the group family has conflicting overlaps")
@@ -62,15 +59,19 @@ def build_hier_tree(inst: Instance) -> HierNode:
     for pid in sorted(cost):
         projects_under.setdefault(owner.get(pid), []).append(pid)
 
-    def build(label: str | None, limit: int) -> HierNode:
-        groups = tuple(build(gid, budget[gid]) for gid in groups_under.get(label, ()))
+    built: dict[str, HierNode] = {}
+
+    def node(label: str | None, limit: int) -> HierNode:
+        groups = tuple(built.pop(gid) for gid in groups_under.get(label, ()))
         leaves = tuple(
             HierNode(label=None, project=pid, budget=cost[pid], children=())
             for pid in projects_under.get(label, ())
         )
         return HierNode(label=label, project=None, budget=limit, children=groups + leaves)
 
-    return build(None, inst.budget)
+    for gid in reversed(parents):  # laminar_forest lists supersets first
+        built[gid] = node(gid, budget[gid])
+    return node(None, inst.budget)
 
 
 def solve_hier(inst: Instance) -> SolveOutcome:
@@ -87,25 +88,33 @@ def solve_hier(inst: Instance) -> SolveOutcome:
     bit = rank_bits(ids)
     stats = SolveStats()
 
-    def evaluate(node: HierNode) -> list[Cell]:
+    # A depth-first walk that stacks the children in order, run backwards,
+    # finishes every child, first to last, before its parent: a post-order
+    # without recursion.  Each finished profile folds into its parent's.
+    walk, stack = [], [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        stack.extend((child, len(walk)) for child in node.children)
+        walk.append((node, parent))
+    folds: dict[int, list[Cell]] = {}
+    for at in range(len(walk) - 1, -1, -1):
+        node, parent = walk[at]
         if node.project is not None:
             profile = item(scores[node.project], node.budget, bit[node.project])
         else:
-            profile = [(0, 0)]
-            for child in node.children:
-                profile = combine(profile, evaluate(child))
+            profile = folds.pop(at, [(0, 0)])
             cut(profile, node.budget)
         stats.cells += len(profile)
-        return profile
+        if parent is not None:
+            folds[parent] = combine(folds.get(parent, [(0, 0)]), profile)
+    stats.nodes = len(walk)
 
-    # Idle projects never enter a cell (profile.item); each cell takes them
-    # by the idle rule, as the bundles of the other exact solvers do.
+    # profile is the root's, finished last.  Idle projects never enter a cell
+    # (profile.item); each cell takes them by the idle rule, as core.bundle_of
+    # gives the other exact solvers.
     idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
-    cells = tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in evaluate(root))
+    cells = tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in profile)
     profile = UtilityCostProfile(cells=cells, ids=ids)
-    stats.nodes = root.count()
-    top = profile.optimum()
-    assert top is not None  # the empty bundle always survives
-    entry = top[1]
-    bundle = Bundle(ids=entry.ids, cost=entry.cost, utility=sum(scores[pid] for pid in entry.ids))
+    bundle = profile.optimum()
+    assert bundle is not None  # the empty bundle always survives
     return SolveOutcome(algorithm="hier", bundle=bundle, profile=profile, stats=stats)

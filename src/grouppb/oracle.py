@@ -118,6 +118,4 @@ def solve_bruteforce(inst: Instance, size_cap: int = DEFAULT_SIZE_CAP) -> Oracle
     profile = UtilityCostProfile(cells=cells, ids=tuple(ids))
 
     stats = SolveStats(nodes=total, cells=2 * total)
-    top = profile.optimum()
-    witness = None if top is None else Bundle(ids=top[1].ids, cost=top[1].cost, utility=top[0])
-    return OracleResult(witness=witness, profile=profile, stats=stats)
+    return OracleResult(witness=profile.optimum(), profile=profile, stats=stats)

@@ -9,6 +9,10 @@ to trying the ways of splitting u across the types (compositions bounded by
 each type's attainable utility), checking every budget on the per-type
 cheapest choices.  The number of types is bounded by 2^g, so this is
 practical when the group count is small.
+
+The witness is the cheapest feasible allocation at the target, ties broken
+by profile.before on its rank mask, and core.bundle_of, the idle rule's
+home, turns that mask into the canonical bundle.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from .core import (
     SolveOutcome,
     SolveStats,
     approval_scores,
+    bundle_of,
     require_no_utility_floors,
-    with_idle,
 )
 from .errors import SearchBudgetExceeded
-from .profile import Cell, at_least, before, combine, decode, item, rank_bits
+from .profile import Cell, at_least, before, combine, item, rank_bits
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -93,16 +97,14 @@ def _scan_allocations(
     node_cap: int,
     stats: SolveStats,
     first: bool,
-    prune: bool = False,
 ) -> Cell:
     """DFS over the utility allocations summing to u; returns a feasible one's cell.
 
     tables are the types' at-least profiles, and an allocation funds its
     types' cells.  With first, the first feasible allocation ends the scan;
     otherwise the (cost, mask)-least one wins, masks compared by
-    profile.before.  prune cuts branches that already cost more than the
-    best so far; without it every allocation is visited.  None when no
-    allocation is feasible.
+    profile.before, and a branch that already costs more than the best so
+    far is cut.  None when no allocation is feasible.
     """
     types = index.types
     caps = [len(t) - 1 for t in tables]
@@ -134,7 +136,7 @@ def _scan_allocations(
         touched = types[i].groups
         for take in range(lo, hi + 1):
             c, wit = table[take]  # at-least tables have no gaps
-            if spent + c > inst.budget or prune and best is not None and spent + c > best[0]:
+            if spent + c > inst.budget or best is not None and spent + c > best[0]:
                 break  # cost only grows with the target
             if any(group_spend[gid] + c > budget_of[gid] for gid in touched):
                 break
@@ -151,14 +153,6 @@ def _scan_allocations(
     return best
 
 
-def _bundle(inst: Instance, cell: Cell) -> Bundle:
-    """The bundle of a scan's cell, with idle projects by core.with_idle."""
-    scores = approval_scores(inst)
-    ids = decode(cell[1], sorted(scores))
-    bundle = Bundle(ids=ids, cost=cell[0], utility=sum(scores[pid] for pid in ids))
-    return with_idle(inst, scores, bundle)
-
-
 def solve_types_decision(inst: Instance, u: int, node_cap: int = DEFAULT_NODE_CAP) -> Bundle | None:
     """The cheapest feasible bundle with utility at least u, or None.
 
@@ -173,16 +167,16 @@ def solve_types_decision(inst: Instance, u: int, node_cap: int = DEFAULT_NODE_CA
     tables = [at_least(t) for t in type_min_cost_tables(inst, index)]
     if u > sum(len(t) - 1 for t in tables):
         return None
-    cell = _scan_allocations(inst, index, tables, u, node_cap, SolveStats(), first=False, prune=True)
-    return None if cell is None else _bundle(inst, cell)
+    cell = _scan_allocations(inst, index, tables, u, node_cap, SolveStats(), first=False)
+    return None if cell is None else bundle_of(inst, cell[1])
 
 
 def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     """Maximum utility by binary search over the allocation scan.
 
     The final pass is solve_types_decision's scan at the optimum, so the
-    witness follows the canonical tie-break of the other exact solvers.  It
-    does not prune, so stats.nodes counts every allocation at the optimum.
+    witness follows the canonical tie-break of the other exact solvers.
+    stats.nodes counts the scan nodes of every pass.
     """
     require_no_utility_floors(inst)
     index = type_index(inst)
@@ -197,6 +191,6 @@ def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOu
         else:
             hi = mid - 1
 
-    best = _bundle(inst, _scan_allocations(inst, index, tables, lo, node_cap, stats, first=False))
+    best = bundle_of(inst, _scan_allocations(inst, index, tables, lo, node_cap, stats, first=False)[1])
     assert best.utility == lo
     return SolveOutcome(algorithm="types", bundle=best, stats=stats)

@@ -32,7 +32,7 @@ from grouppb import (
     solve_bruteforce,
     validate_instance,
 )
-from grouppb.core import ProfileEntry, approval_scores
+from grouppb.core import approval_scores
 from grouppb.errors import NotHierarchical
 from grouppb.hiersolve import HierNode, build_hier_tree
 from grouppb.layers import OrderedLayers
@@ -465,13 +465,14 @@ def dimdp_completion_reference(inst: Instance) -> SolveOutcome:
 
 def hier_tuple_reference(
     inst: Instance, u_cap: int | None = None
-) -> tuple[SolveOutcome, tuple[ProfileEntry | None, ...]]:
+) -> tuple[SolveOutcome, tuple[Bundle | None, ...]]:
     """hier with sorted id tuples as witnesses, merged and compared per cell.
 
     The same tree and min-plus fold as ``solve_hier``, but every cell holds
     (cost, sorted ids) and ties are broken by comparing the tuples, so it
     shares no mask code with the library.  Returns the outcome without its
-    profile, and the profile's entries.
+    profile, and the profile's entries as bundles with their own utility,
+    which is the cell's utility unless the cap saturated it.
     """
     root = build_hier_tree(inst)
     scores = approval_scores(inst)
@@ -492,6 +493,7 @@ def hier_tuple_reference(
         return out
 
     def evaluate(node):
+        stats.nodes += 1
         if node.project is not None:
             profile = [(0, ())]
             z = min(scores[node.project], cap)
@@ -512,11 +514,10 @@ def hier_tuple_reference(
     def with_idle(ids):
         return tuple(sorted(set(ids) | {pid for pid in idle if ids and pid < ids[-1]}))
 
-    entries = tuple(
-        None if e is None else ProfileEntry(cost=e[0], ids=with_idle(e[1])) for e in evaluate(root)
-    )
-    stats.nodes = root.count()
+    def bundle(entry):
+        ids = with_idle(entry[1])
+        return Bundle(ids=ids, cost=entry[0], utility=sum(scores[pid] for pid in ids))
+
+    entries = tuple(None if e is None else bundle(e) for e in evaluate(root))
     top = max(z for z, e in enumerate(entries) if e is not None)
-    ids = entries[top].ids
-    bundle = Bundle(ids=ids, cost=entries[top].cost, utility=sum(scores[pid] for pid in ids))
-    return SolveOutcome(algorithm="hier", bundle=bundle, stats=stats), entries
+    return SolveOutcome(algorithm="hier", bundle=entries[top], stats=stats), entries

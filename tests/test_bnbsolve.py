@@ -45,6 +45,12 @@ def test_node_cap_names_the_nodes_explored(district_pair):
         solve_bnb(district_pair, node_cap=nodes - 1)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_one_explores_no_node(district_pair, cap):
+    with pytest.raises(SearchBudgetExceeded, match=f"node cap of {cap} reached after exploring 0 nodes"):
+        solve_bnb(district_pair, node_cap=cap)
+
+
 def test_floors_are_rejected(district_pair):
     floored = Instance(
         budget=district_pair.budget,

@@ -511,6 +511,48 @@ def test_forced_resource_cap_exits_4(capsys):
     assert code == 4 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", DISTRICT, "--algo", "bnb", "--node-cap=-1"],
+        ["solve", DISTRICT, "--algo", "types", "--node-cap=-1"],
+        ["solve", DISTRICT, "--algo", "dimdp", "--cell-cap=-1"],
+        ["solve", DISTRICT, "--algo", "proj-del", "--depth-cap=-1"],
+        ["analyze", DISTRICT, "--depth-cap=-1"],
+    ],
+)
+def test_negative_caps_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a whole number of at least 0" in capsys.readouterr().err
+
+
+def test_deep_nesting_solves_without_recursion(capsys, tmp_path):
+    # A chain of nested groups F_k = {p_0..p_k}, each allowing (k + 2) // 2
+    # unit-cost projects: the canonical optimum takes every other project.
+    n = 600
+    ids = [f"p{i:03d}" for i in range(n)]
+    inst = validate_instance(
+        Instance(
+            budget=n // 2,
+            projects=tuple(Project(id=pid, cost=1) for pid in ids),
+            voters=tuple(Voter(id=f"v{pid}", approves=frozenset({pid})) for pid in ids),
+            groups=tuple(
+                Group(id=f"F{k:03d}", members=frozenset(ids[: k + 1]), budget=(k + 2) // 2)
+                for k in range(n)
+            ),
+        )
+    )
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == "hier"
+    assert payload["bundle"]["ids"] == ids[::2] and payload["utility"] == n // 2
+
+
 def test_auto_falls_back_to_bruteforce_on_resource_error(capsys, crossing_file):
     code, out, err = run_cli(
         capsys, "solve", crossing_file,

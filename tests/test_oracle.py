@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from grouppb import (
+    Bundle,
     Group,
     Instance,
     Project,
@@ -12,7 +13,7 @@ from grouppb import (
     solve_bruteforce,
     validate_instance,
 )
-from grouppb.core import ProfileEntry, approval_scores
+from grouppb.core import approval_scores
 
 from conftest import build_corpus
 
@@ -31,7 +32,7 @@ def profile_by_enumeration(inst):
                 best[report.utility] = cand
     top = sum(approval_scores(inst).values())
     return tuple(
-        None if z not in best else ProfileEntry(cost=best[z][0], ids=best[z][1])
+        None if z not in best else Bundle(ids=best[z][1], cost=best[z][0], utility=z)
         for z in range(top + 1)
     )
 
@@ -42,11 +43,11 @@ def test_district_pair_full_profile(district_pair):
     assert res.witness.ids == ("p2", "p3", "p4")
     assert res.witness.cost == 5
     assert res.profile.entries == (
-        ProfileEntry(cost=0, ids=()),
-        ProfileEntry(cost=1, ids=("p2",)),
-        ProfileEntry(cost=2, ids=("p2", "p4")),
-        ProfileEntry(cost=4, ids=("p1", "p2", "p4")),
-        ProfileEntry(cost=5, ids=("p2", "p3", "p4")),
+        Bundle(ids=(), cost=0, utility=0),
+        Bundle(ids=("p2",), cost=1, utility=1),
+        Bundle(ids=("p2", "p4"), cost=2, utility=2),
+        Bundle(ids=("p1", "p2", "p4"), cost=4, utility=3),
+        Bundle(ids=("p2", "p3", "p4"), cost=5, utility=4),
         None,
     )
 
@@ -96,7 +97,7 @@ def test_utility_floor_restricts_the_profile():
     assert res.optimum == 4 and res.witness.ids == ("p2", "p3", "p4")
     assert res.profile.entries[0] is None
     assert res.profile.entries[1] is None
-    assert res.profile.entries[2] == ProfileEntry(cost=3, ids=("p3",))
+    assert res.profile.entries[2] == Bundle(ids=("p3",), cost=3, utility=2)
 
 
 def test_unsatisfiable_floor_yields_no_feasible_bundle():
