@@ -171,8 +171,8 @@ def approval_scores(inst: Instance) -> dict[str, int]:
 def bundle_of(inst: Instance, mask: int) -> Bundle:
     """The canonical bundle of a rank mask over the sorted project ids.
 
-    This is where every exact solver's witness ends.  An idle project costs 0
-    and has score 0, so adding one changes no cost, no utility and no budget.
+    bnb, types, dimdp and fptas-g end here.  An idle project costs 0 and
+    has score 0, so adding one changes no cost, no utility and no budget.
     It makes the id tuple smaller when it sorts before the bundle's last
     other project, and longer, so larger, after it.  So the bundle takes
     every idle project and drops the trailing run of them (profile.with_idle).
