@@ -1,10 +1,10 @@
-"""Print what `grouppb solve` answers on every instance file of a directory.
+"""Print what `grouppb solve` and `analyze` answer on every instance file of a directory.
 
 For each *.json file in DIR, in name order, grouppb.cli.main runs in-process
-once per argument set in RUNS.  Each run prints one JSON line with the file
-name, the arguments, the exit code, stderr, and stdout with the one timing
-field, stats.wall_time_s, removed.  So two versions of the program compare
-by diff:
+once per argument list in RUNS, a subcommand and its options.  Each run
+prints one JSON line with the file name, the arguments, the exit code,
+stderr, and stdout with the one timing field, stats.wall_time_s, removed.
+So two versions of the program compare by diff:
 
     PYTHONPATH=src python3 scripts/snapshot_outputs.py DIR > after.jsonl
 """
@@ -20,14 +20,15 @@ from pathlib import Path
 from grouppb.cli import main
 
 RUNS = (
-    [],
-    ["--profile"],
-    ["--decision-u", "50"],
-    ["--decision-u", "400"],
-    ["--algo", "bnb"],
-    ["--algo", "types"],
-    ["--algo", "fptas-g"],
-    ["--algo", "dimdp"],
+    ["solve"],
+    ["solve", "--profile"],
+    ["solve", "--decision-u", "50"],
+    ["solve", "--decision-u", "400"],
+    ["solve", "--algo", "bnb"],
+    ["solve", "--algo", "types"],
+    ["solve", "--algo", "fptas-g"],
+    ["solve", "--algo", "dimdp"],
+    ["analyze"],
 )
 
 
@@ -41,12 +42,12 @@ def _untimed(stdout: str) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def snapshot(path: Path, extra: list[str]) -> dict:
+def snapshot(path: Path, args: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["solve", str(path), *extra])
+        code = main([args[0], str(path), *args[1:]])
     return {
-        "args": extra,
+        "args": args,
         "exit": code,
         "file": path.name,
         "stderr": err.getvalue(),
@@ -59,8 +60,8 @@ def run() -> int:
     parser.add_argument("dir", type=Path, help="directory of instance JSON files")
     args = parser.parse_args()
     for path in sorted(args.dir.glob("*.json")):
-        for extra in RUNS:
-            print(json.dumps(snapshot(path, extra), sort_keys=True), flush=True)
+        for args in RUNS:
+            print(json.dumps(snapshot(path, args), sort_keys=True), flush=True)
     return 0
 
 

@@ -30,7 +30,7 @@ from .core import (
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, LpModel, LpRow, simplex_solve
 from .profile import Cell, before
-from .typesolve import DEFAULT_NODE_CAP, type_index, type_min_cost_tables
+from .typesolve import DEFAULT_NODE_CAP, depth_first_leaves, type_index, type_min_cost_tables
 
 
 def lp_relaxation(inst: Instance) -> LpModel:
@@ -137,15 +137,10 @@ def solve_fptas_g(
     group_spend = {gid: 0 for gid in budget_of}
     best = (0, 0, 0)  # (utility, cost, mask) of the preferred leaf; skipping every type is one
 
-    def rec(i: int, utility: int, spent: int, mask: int) -> None:
-        nonlocal best
-        stats.nodes += 1
-        if i == len(index.types):
-            u, c, w = best
-            if utility > u or utility == u and (spent < c or spent == c and before(mask, w)):
-                best = (utility, spent, mask)
-            return
-        rec(i + 1, utility, spent, mask)  # skip this type entirely
+    def children(i: int, node: tuple[int, int, int]):
+        """Skip type i, then take each of its affordable candidates, groups charged."""
+        yield node
+        utility, spent, mask = node
         touched = index.types[i].groups
         for v, cost, wit in candidates[i]:
             if spent + cost > inst.budget:
@@ -154,11 +149,15 @@ def solve_fptas_g(
                 continue
             for gid in touched:
                 group_spend[gid] += cost
-            rec(i + 1, utility + v, spent + cost, mask | wit)
+            yield utility + v, spent + cost, mask | wit
             for gid in touched:
                 group_spend[gid] -= cost
 
-    rec(0, 0, 0, 0)
+    for utility, spent, mask in depth_first_leaves(children, (0, 0, 0), len(index.types), stats):
+        u, c, w = best
+        if utility > u or utility == u and (spent < c or spent == c and before(mask, w)):
+            best = (utility, spent, mask)
+
     bundle = bundle_of(inst, best[2])
     assert (bundle.utility, bundle.cost) == best[:2]
     return SolveOutcome(algorithm="fptas-g", bundle=bundle, guarantee=one_plus_eps, stats=stats)

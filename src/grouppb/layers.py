@@ -4,8 +4,9 @@ A layer decomposition partitions the family into layers whose groups are
 pairwise disjoint; the layerwidth is the minimum number of layers.  Groups
 that intersect at all (nested or not) can never share a layer, so layerwidth
 is the chromatic number of the intersection graph.  Hierarchy is a different
-relation: a family is hierarchical (laminar) when any two groups are disjoint
-or nested, i.e. when no two groups cross.
+relation: a family is hierarchical (laminar) when any two nonempty groups are
+disjoint or strictly nested, i.e. when no two cross and no set repeats.
+laminar_forest decides it in the pass that builds the containment forest.
 """
 
 from __future__ import annotations
@@ -93,11 +94,9 @@ def is_hierarchical(groups: Sequence[Group]) -> bool:
 
     Two groups with the same nonempty members are not strictly nested, so
     duplicates must be merged (normalize does) before a family counts.
+    laminar_forest decides this in its one pass.
     """
-    nonempty = [f.members for f in groups if f.members]
-    if len(set(nonempty)) < len(nonempty):
-        return False
-    return crossing_pair({f.id: f.members for f in groups}) is None
+    return laminar_forest(groups) is not None
 
 
 def is_valid_decomposition(groups: Sequence[Group], layers: Sequence[Sequence[str]]) -> bool:
@@ -144,21 +143,31 @@ def two_layer_decomposition(groups: Sequence[Group]) -> LayerDecomposition | Non
     return LayerDecomposition(layers=(first, second))
 
 
-def laminar_forest(groups: Sequence[Group]) -> tuple[dict[str, str | None], dict[str, str]]:
-    """The containment forest of a hierarchical family, in one pass.
+def laminar_forest(groups: Sequence[Group]) -> tuple[dict[str, str | None], dict[str, str]] | None:
+    """The containment forest of a hierarchical family, or None for any other.
 
     Returns (parents, owner).  parents maps each nonempty group to its
     minimal strict superset, or None; owner maps each project some group
     holds to its smallest group.  The groups are visited largest first (ties
-    by id), and each project remembers the last group that held it.  In a
-    hierarchical family every group visited earlier that meets a group is a
-    strict superset of it, and those supersets form a chain visited from the
-    largest down, so any member remembers the minimal one.
+    by id), and each project remembers the last group that held it.
+
+    The same pass decides hierarchy.  While the groups visited so far are
+    disjoint or strictly nested, those holding a project form a chain and
+    the project remembers the smallest.  Every earlier group that a next
+    group f meets, if f crosses and repeats none, is a strict superset of
+    f, so f's members share one owner (None counts as one), larger than f.
+    If f crosses some A, a member inside A remembers a group within A and a
+    member outside A cannot; if f repeats A, its owner is A, as large as f.
     """
     parents: dict[str, str | None] = {}
     owner: dict[str, str] = {}
+    size: dict[str, int] = {}
     for f in sorted((f for f in groups if f.members), key=lambda f: (-len(f.members), f.id)):
-        parents[f.id] = owner.get(next(iter(f.members)))
+        parent, *others = set(map(owner.get, f.members))
+        if others or parent is not None and size[parent] == len(f.members):
+            return None  # f crosses a group visited earlier, or repeats its parent
+        parents[f.id] = parent
+        size[f.id] = len(f.members)
         owner.update(dict.fromkeys(f.members, f.id))
     return parents, owner
 
@@ -171,14 +180,15 @@ def ordered_hier_layers(groups: Sequence[Group], universe: frozenset[str]) -> Or
     superset (laminar_forest), and a group without one lands just below the
     root.
     """
-    if not is_hierarchical(groups):
+    forest = laminar_forest(groups)
+    if forest is None:
         raise NotHierarchical("ordered layering needs a hierarchical family")
     for f in groups:
         if not f.members <= universe:
             raise ValueError(f"group {f.id} reaches outside the universe")
 
     root_id = next((f.id for f in groups if f.members == universe), None)
-    parents, _ = laminar_forest(groups)
+    parents, _ = forest
     depth: dict[str, int] = {}
     for gid, parent in parents.items():  # largest first: parents come before children
         depth[gid] = 0 if gid == root_id else depth.get(parent, 0) + 1

@@ -89,6 +89,26 @@ def _count_compositions(caps: list[int], u: int) -> int:
     return ways[u]
 
 
+def depth_first_leaves(expand, root, depth: int, stats: SolveStats):
+    """Yield the leaves of a depth-level tree, depth first, without recursion.
+
+    expand(i, node) iterates over a level-i node's children and is resumed
+    only when its last child's subtree is done, so it may charge on yield
+    and refund on resume.  stats.nodes counts every node visited.
+    """
+    stack, node = [], root
+    while True:
+        stats.nodes += 1
+        if len(stack) == depth:
+            yield node
+        else:
+            stack.append(expand(len(stack), node))
+        while stack and (node := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+
+
 def _scan_allocations(
     inst: Instance,
     index: TypeIndex,
@@ -104,7 +124,9 @@ def _scan_allocations(
     types' cells.  With first, the first feasible allocation ends the scan;
     otherwise the (cost, mask)-least one wins, masks compared by
     profile.before, and a branch that already costs more than the best so
-    far is cut.  None when no allocation is feasible.
+    far is cut.  None when no allocation is feasible.  Level i of the tree
+    that depth_first_leaves walks picks type i's utility, smallest first, so
+    each child is cut against the best leaf found before it.
     """
     types = index.types
     caps = [len(t) - 1 for t in tables]
@@ -122,19 +144,12 @@ def _scan_allocations(
     group_spend = {gid: 0 for gid in budget_of}
     best: Cell = None
 
-    def rec(i: int, u_rem: int, spent: int, mask: int) -> bool:
-        """Visit the allocations below this node; True when the scan may stop."""
-        nonlocal best
-        stats.nodes += 1
-        if i == len(types):
-            if best is None or spent < best[0] or spent == best[0] and before(mask, best[1]):
-                best = (spent, mask)
-            return first
-        lo = max(0, u_rem - suffix[i + 1])
-        hi = min(caps[i], u_rem)
+    def children(i: int, node: tuple[int, int, int]):
+        """The nodes below (utility left, spent, mask), type i's groups charged for each."""
+        u_rem, spent, mask = node
         table = tables[i]
         touched = types[i].groups
-        for take in range(lo, hi + 1):
+        for take in range(max(0, u_rem - suffix[i + 1]), min(caps[i], u_rem) + 1):
             c, wit = table[take]  # at-least tables have no gaps
             if spent + c > inst.budget or best is not None and spent + c > best[0]:
                 break  # cost only grows with the target
@@ -142,14 +157,15 @@ def _scan_allocations(
                 break
             for gid in touched:
                 group_spend[gid] += c
-            stop = rec(i + 1, u_rem - take, spent + c, mask | wit)
+            yield u_rem - take, spent + c, mask | wit
             for gid in touched:
                 group_spend[gid] -= c
-            if stop:
-                return True
-        return False
 
-    rec(0, u, 0, 0)
+    for _, spent, mask in depth_first_leaves(children, (u, 0, 0), len(types), stats):
+        if best is None or spent < best[0] or spent == best[0] and before(mask, best[1]):
+            best = (spent, mask)
+        if first:
+            break
     return best
 
 

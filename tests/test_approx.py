@@ -138,6 +138,17 @@ def test_fptas_node_cap(district_pair):
         solve_fptas_g(district_pair, F(1, 10), node_cap=1)
 
 
+def test_fptas_search_over_many_types_does_not_recurse():
+    # Project i lies in group G_j when bit j of i is set: 1,100 types, all
+    # but the last of score 0, so the estimate is 2 and the search runs
+    # 1,100 levels deep.
+    ids = [f"p{i:04d}" for i in range(1100)]
+    groups = [(f"G{j:02d}", [ids[i] for i in range(1100) if i >> j & 1], 1) for j in range(11)]
+    inst = tiny(1, [(pid, 1) for pid in ids], [ids[-1]], groups)
+    out = solve_fptas_g(inst, F(1, 2))
+    assert out.bundle.ids == (ids[-1],)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_fptas_never_beats_the_optimum(seed):

@@ -553,6 +553,29 @@ def test_deep_nesting_solves_without_recursion(capsys, tmp_path):
     assert payload["bundle"]["ids"] == ids[::2] and payload["utility"] == n // 2
 
 
+def test_decision_scan_over_many_types_does_not_recurse(capsys, tmp_path):
+    # Project i lies in group G_j when bit j of i is set, so each of the
+    # 1,100 projects is a type of its own and the allocation scan is 1,100
+    # levels deep.  Unit costs and budgets 1: any one project reaches u = 1.
+    ids = [f"p{i:04d}" for i in range(1100)]
+    inst = validate_instance(
+        Instance(
+            budget=1,
+            projects=tuple(Project(id=pid, cost=1) for pid in ids),
+            voters=tuple(Voter(id=f"v{pid}", approves=frozenset({pid})) for pid in ids),
+            groups=tuple(
+                Group(id=f"G{j:02d}", members=frozenset(ids[i] for i in range(1100) if i >> j & 1), budget=1)
+                for j in range(11)
+            ),
+        )
+    )
+    path = tmp_path / "types.json"
+    path.write_text(serialize_instance(inst))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--decision-u", "1")
+    assert code == 0
+    assert json.loads(out)["bundle"]["ids"] == ["p0000"]
+
+
 def test_auto_falls_back_to_bruteforce_on_resource_error(capsys, crossing_file):
     code, out, err = run_cli(
         capsys, "solve", crossing_file,

@@ -166,6 +166,40 @@ def test_laminar_forest_on_hand_family():
     parents, owner = laminar_forest(fam)
     assert parents == {"F4": None, "F2": "F4", "F1": "F2", "F3": "F4"}
     assert owner == {"a": "F1", "b": "F2", "c": "F3"}
+    assert laminar_forest([G(1, "a", "b"), G(2, "b", "c")]) is None  # crossing
+    assert laminar_forest([G(1, "a", "b", "c"), G(2, "a", "b"), G(3, "a", "b")]) is None  # repeat
+    assert laminar_forest([G(1, "a", "b", "c"), G(2, "c", "d")]) is None  # covered and uncovered
+    assert laminar_forest([G(1, "a", "b"), G(2, "c", "d"), G(3, "b", "c")]) is None  # two owners
+
+
+@st.composite
+def families(draw):
+    """Member sets over a-f with repeats, empty sets, and disjoint sets of equal size."""
+    order = "".join(draw(st.permutations("abcdef")))
+    width = draw(st.integers(1, 3))
+    blocks = [frozenset(order[i : i + width]) for i in range(0, 6, width)] + [frozenset()]
+    sets = draw(
+        st.lists(
+            st.one_of(st.sampled_from(blocks), st.frozensets(st.sampled_from("abcdef"))),
+            max_size=7,
+        )
+    )
+    return [Group(id=f"F{k}", members=s, budget=1) for k, s in enumerate(sets)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_one_pass_hierarchy_matches_the_pairwise_definition(fam):
+    nonempty = [f.members for f in fam if f.members]
+    expected = not crossing_pairs(nonempty) and len(set(nonempty)) == len(nonempty)
+    assert is_hierarchical(fam) == expected
+    forest = laminar_forest(fam)
+    assert (forest is None) == (not expected)
+    if forest is not None:
+        by_id = {f.id: f.members for f in fam}
+        for gid, parent in forest[0].items():
+            supersets = [x for x in by_id if by_id[gid] < by_id[x]]
+            assert parent == min(supersets, key=lambda x: len(by_id[x]), default=None)
 
 
 def test_ordered_layers_rejects_crossing_or_escaping_families():
