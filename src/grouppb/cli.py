@@ -34,6 +34,7 @@ from .distsolve import (
 )
 from .errors import (
     GroupPBError,
+    NotHierarchical,
     SearchBudgetExceeded,
     TableTooLarge,
     TooLarge,
@@ -184,7 +185,7 @@ def _run_solver(inst: Instance, algo: str, args):
     if algo == "bruteforce":
         return solve_bruteforce(inst).to_outcome(), None
     if algo == "hier":
-        return solve_hier(inst), None
+        return solve_hier(inst, profile=args.profile), None
     if algo == "bnb":
         return solve_bnb(inst, node_cap=args.node_cap), None
     if algo in ("group-del", "proj-del"):
@@ -213,7 +214,9 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
 
     Ties go to the smallest sorted id tuple, so every algorithm returns the
     at-least cell of the cost profile (profile.at_least): bruteforce and
-    hier read it from their full profiles.
+    hier read it from their full profiles.  Not from hier's pruned one: a
+    weakly dominated cell can be the at-least cell, when it costs the same
+    as the higher one and comes first in id order.
     """
     if algo == "types":
         return solve_types_decision(inst, target, node_cap=args.node_cap)
@@ -301,7 +304,6 @@ def cmd_analyze(args) -> int:
     stats = derived_stats(inst)
     universe = frozenset(p.id for p in inst.projects)
     graph = conflict_graph(inst.groups)
-    hier = is_hierarchical(inst.groups)
     notes: list[str] = []
 
     two = two_layer_decomposition(inst.groups)
@@ -312,14 +314,15 @@ def cmd_analyze(args) -> int:
         exact_width = None
         notes.append("exact layerwidth skipped: too many groups")
 
-    ordered = None
-    if hier:
+    try:
         layers = ordered_hier_layers(inst.groups, universe)
         ordered = {
             "layers": [list(layer) for layer in layers.layers],
             "root_virtual": layers.root_virtual,
             "width": layers.width,
         }
+    except NotHierarchical:
+        ordered = None
 
     ganal = min_group_deletion_set(inst.groups, args.depth_cap)
     panal = min_project_deletion_set(inst.groups, args.depth_cap)
@@ -334,7 +337,7 @@ def cmd_analyze(args) -> int:
             "depth_cap": ganal.depth_cap,
             "search_budget_hit": ganal.search_budget_hit,
         },
-        "hierarchical": hier,
+        "hierarchical": ordered is not None,
         "notes": notes,
         "ordered_layers": ordered,
         "project_deletion": {

@@ -179,7 +179,7 @@ def _enumerate_and_solve(
             continue
 
         sub = _restricted_instance(inst, remainder, rooms, inst.budget - spent)
-        outcome = solve_hier(sub)
+        outcome = solve_hier(sub, profile=False)
         stats.cells += outcome.stats.cells
         ids = tuple(sorted(chosen | set(outcome.bundle.ids)))
         candidate = Bundle(

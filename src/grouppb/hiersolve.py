@@ -8,7 +8,9 @@ its subtree achieving each exact utility.  Children combine by min-plus
 convolution, and the node's budget erases entries it cannot afford.  The root
 profile answers every question at once: the optimum is its highest reachable
 utility, and the cheapest bundle reaching a target is the target's cell of
-its suffix minima (profile.at_least).
+its suffix minima (profile.at_least).  When only the optimum is asked for,
+every fold keeps only its undominated cells (profile.prune), which is all
+the optimum needs and a small part of the full profile.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
 )
 from .errors import NotHierarchical
 from .layers import is_hierarchical, laminar_forest
-from .profile import Cell, combine, cut, item, rank_bits, with_idle
+from .profile import Cell, combine, cut, item, prune, rank_bits, with_idle
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,18 @@ def build_hier_tree(inst: Instance) -> HierNode:
     return node(None, inst.budget)
 
 
-def solve_hier(inst: Instance) -> SolveOutcome:
-    """Optimum bundle and full per-utility cost profile for a hierarchical family.
+def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
+    """Optimum bundle and, with profile, the full per-utility cost profile.
 
     The utility axis runs to the total approval score and every entry is
-    exact.
+    exact.  With profile False, each fold drops its weakly dominated cells,
+    those that a higher utility reaches at no more cost, and the outcome's
+    profile is None.  The bundle is the same.  In every fold the canonical
+    optimum passes through, its part is the fold's cell of that utility, by
+    the non-nesting argument of profile.before.  Were that cell dominated,
+    the dominating cell in its place would raise the utility at no extra
+    cost and keep every budget, so no part of the optimum is ever dropped.
+    Pruned cells keep their place in the lists, so stats are the same too.
     """
     require_no_utility_floors(inst)
     root = build_hier_tree(inst)
@@ -100,21 +109,26 @@ def solve_hier(inst: Instance) -> SolveOutcome:
     for at in range(len(walk) - 1, -1, -1):
         node, parent = walk[at]
         if node.project is not None:
-            profile = item(scores[node.project], node.budget, bit[node.project])
+            cells = item(scores[node.project], node.budget, bit[node.project])
         else:
-            profile = folds.pop(at, [(0, 0)])
-            cut(profile, node.budget)
-        stats.cells += len(profile)
+            cells = folds.pop(at, [(0, 0)])
+            cut(cells, node.budget)
+        stats.cells += len(cells)
         if parent is not None:
-            folds[parent] = combine(folds.get(parent, [(0, 0)]), profile)
+            folds[parent] = combine(folds.get(parent, [(0, 0)]), cells)
+            if not profile:
+                prune(folds[parent])
     stats.nodes = len(walk)
 
-    # profile is the root's, finished last.  Idle projects never enter a cell
+    # cells is the root's, finished last.  Idle projects never enter a cell
     # (profile.item); each cell takes them by the idle rule, as core.bundle_of
     # gives the other exact solvers.
     idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
-    cells = tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in profile)
-    profile = UtilityCostProfile(cells=cells, ids=ids)
-    bundle = profile.optimum()
+    root_profile = UtilityCostProfile(
+        cells=tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in cells), ids=ids
+    )
+    bundle = root_profile.optimum()
     assert bundle is not None  # the empty bundle always survives
-    return SolveOutcome(algorithm="hier", bundle=bundle, profile=profile, stats=stats)
+    return SolveOutcome(
+        algorithm="hier", bundle=bundle, profile=root_profile if profile else None, stats=stats
+    )

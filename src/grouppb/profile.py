@@ -16,6 +16,12 @@ unless the other tuple ends there, since a proper prefix is smaller.  So
 The utility axis is never capped: a profile over projects of total score s
 has s + 1 cells, so cell z always means exactly z.  A question about
 utility at least a target reads the target's cell of ``at_least``.
+
+When only the optimum is wanted, ``prune`` erases the weakly dominated
+cells, those that some higher utility reaches at no more cost, and keeps
+the list's length.  An undominated cell of a combine is made of undominated
+cells, so a fold that prunes every combine holds exactly the undominated
+cells of the full fold, the optimum among them.
 """
 
 from __future__ import annotations
@@ -72,6 +78,19 @@ def cut(profile: list[Cell], budget: int) -> None:
     for z, cell in enumerate(profile):
         if cell is not None and cell[0] > budget:
             profile[z] = None
+
+
+def prune(profile: list[Cell]) -> None:
+    """Erase, in place, every cell that a higher utility reaches at no more cost."""
+    least = None  # the cheapest cost above z
+    for z in range(len(profile) - 1, -1, -1):
+        cell = profile[z]
+        if cell is None:
+            continue
+        if least is not None and cell[0] >= least:
+            profile[z] = None
+        else:
+            least = cell[0]
 
 
 def at_least(profile: list[Cell]) -> list[Cell]:

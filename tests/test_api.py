@@ -43,7 +43,7 @@ def test_solver_parameters_are_pinned():
     }
     assert solvers == {
         "solve_bruteforce": ("inst", "size_cap"),
-        "solve_hier": ("inst",),
+        "solve_hier": ("inst", "profile"),
         "solve_bnb": ("inst", "node_cap"),
         "solve_group_deletion": ("inst", "deleted_group_ids", "node_cap"),
         "solve_project_deletion": ("inst", "deleted_project_ids", "node_cap"),

@@ -280,6 +280,30 @@ def test_decision_witness_is_the_cheapest_bundle_reaching_the_target(inst):
             assert _decision_bundle(inst, algo, target, args) == expected, (algo, target)
 
 
+@pytest.mark.parametrize("extra", [[], ["--algo", "hier"]])
+def test_decision_tie_reads_the_full_profile(capsys, tmp_path, extra):
+    # {a} and {b} both cost 1; {a} scores 1 and comes first.  A profile
+    # pruned to undominated cells drops utility 1 (utility 2 costs no more)
+    # and would answer ["b"].
+    path = write_instance(
+        tmp_path,
+        Instance(
+            budget=2,
+            projects=(Project(id="a", cost=1), Project(id="b", cost=1)),
+            voters=(
+                Voter(id="v1", approves=frozenset({"a", "b"})),
+                Voter(id="v2", approves=frozenset({"b"})),
+            ),
+            groups=(),
+        ),
+    )
+    code, out, err = run_cli(capsys, "solve", path, "--decision-u", "1", *extra)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["algorithm"] == "hier"
+    assert payload["bundle"] == {"ids": ["a"], "cost": 1, "utility": 1}
+
+
 @pytest.mark.parametrize("extra", [[], ["--decision-u", "3"]])
 def test_floors_beyond_bruteforce_size_exit_4(capsys, tmp_path, extra):
     # Only bruteforce honors floors, so auto has no fallback to offer.

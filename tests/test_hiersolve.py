@@ -139,6 +139,25 @@ def test_profile_matches_oracle_without_normalizing(inst):
     assert solve_hier(inst).profile.entries == solve_bruteforce(inst).profile.entries
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_instances(laminar=True), st.booleans())
+def test_frontier_fold_keeps_the_witness_and_stats(inst, unit):
+    # Unit costs tie many cells, and a third of each budget binds more often.
+    if unit:
+        inst = validate_instance(
+            replace(
+                inst,
+                budget=inst.budget // 3,
+                projects=tuple(replace(p, cost=min(p.cost, 1)) for p in inst.projects),
+                groups=tuple(replace(f, budget=f.budget // 3) for f in inst.groups),
+            )
+        )
+    full, frontier = solve_hier(inst), solve_hier(inst, profile=False)
+    assert frontier.profile is None
+    assert frontier.bundle == full.bundle == solve_bruteforce(inst).witness
+    assert frontier.stats == full.stats
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 10**9),
