@@ -9,84 +9,54 @@ certified guarantees, an integer-programming export, generators, and a
 command line front end.
 
 The names below are the library API that README lists; everything else stays
-in its module.
+in its module.  Importing the package loads none of its modules: each name
+is imported from its home module on first access (PEP 562), so a command
+line solve compiles only the modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    Bundle,
-    Group,
-    Instance,
-    Project,
-    SolveOutcome,
-    SolveStats,
-    Voter,
-    check_bundle,
-    normalize,
-    validate_instance,
-)
-from .errors import (
-    GroupPBError,
-    SearchBudgetExceeded,
-    TableTooLarge,
-    TooLarge,
-    UtilityFloorsUnsupported,
-)
-from .fileformat import parse_instance, serialize_instance
-from .generators import GenParams, gen_from_graph_is, gen_from_partition, gen_random, make_graph
-from .layers import is_hierarchical
-from .hiersolve import solve_hier
-from .bnbsolve import solve_bnb
-from .distsolve import (
-    min_group_deletion_set,
-    min_project_deletion_set,
-    solve_group_deletion,
-    solve_project_deletion,
-)
-from .typesolve import solve_types_decision, solve_types_max
-from .dimsolve import solve_dimdp
-from .approx import solve_fptas_g, solve_lp_round
-from .milp import build_milp, export_lp_format
-from .oracle import solve_bruteforce
+# The exported names, by the module that defines them.
+_EXPORTS = {
+    "core": (
+        "Project", "Voter", "Group", "Instance", "Bundle", "SolveOutcome", "SolveStats",
+        "validate_instance", "normalize", "check_bundle", "is_hierarchical",
+    ),
+    "fileformat": ("parse_instance", "serialize_instance"),
+    "distsolve": (
+        "min_group_deletion_set", "min_project_deletion_set",
+        "solve_group_deletion", "solve_project_deletion",
+    ),
+    "oracle": ("solve_bruteforce",),
+    "hiersolve": ("solve_hier",),
+    "bnbsolve": ("solve_bnb",),
+    "typesolve": ("solve_types_max", "solve_types_decision"),
+    "dimsolve": ("solve_dimdp",),
+    "approx": ("solve_lp_round", "solve_fptas_g"),
+    "generators": (
+        "GenParams", "gen_random", "make_graph", "gen_from_graph_is", "gen_from_partition",
+    ),
+    "milp": ("build_milp", "export_lp_format"),
+    "errors": (
+        "GroupPBError", "TooLarge", "TableTooLarge", "SearchBudgetExceeded",
+        "UtilityFloorsUnsupported",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Project",
-    "Voter",
-    "Group",
-    "Instance",
-    "Bundle",
-    "SolveOutcome",
-    "SolveStats",
-    "parse_instance",
-    "serialize_instance",
-    "validate_instance",
-    "normalize",
-    "check_bundle",
-    "is_hierarchical",
-    "min_group_deletion_set",
-    "min_project_deletion_set",
-    "solve_bruteforce",
-    "solve_hier",
-    "solve_bnb",
-    "solve_group_deletion",
-    "solve_project_deletion",
-    "solve_types_max",
-    "solve_types_decision",
-    "solve_dimdp",
-    "solve_lp_round",
-    "solve_fptas_g",
-    "GenParams",
-    "gen_random",
-    "make_graph",
-    "gen_from_graph_is",
-    "gen_from_partition",
-    "build_milp",
-    "export_lp_format",
-    "GroupPBError",
-    "TooLarge",
-    "TableTooLarge",
-    "SearchBudgetExceeded",
-    "UtilityFloorsUnsupported",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """Import an exported name from its module on first access, then keep it here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

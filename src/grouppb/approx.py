@@ -1,9 +1,10 @@
 """Approximate solvers: LP rounding and a guess-and-bucket scheme.
 
-solve_lp_round relaxes integrality, solves the LP exactly, and keeps the
-projects at value 1; because a basic solution has at most (group count + 1)
-fractional variables, topping the integral part against the best single
-project bounds the loss to a factor of (group count + 2).
+solve_lp_round relaxes integrality (lp.lp_relaxation), solves the LP
+exactly, and keeps the projects at value 1; because a basic solution has at
+most (group count + 1) fractional variables, topping the integral part
+against the best single project bounds the loss to a factor of (group
+count + 2).
 
 solve_fptas_g trades the group-count blowup for any accuracy demanded: it
 replaces each project type by derived candidates "reach utility v within the
@@ -17,41 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
+    DEFAULT_NODE_CAP,
     Instance,
     SolveOutcome,
     SolveStats,
-    approval_scores,
     bundle_of,
-    individually_feasible,
     make_bundle,
     preference_key,
     require_no_utility_floors,
+    type_index,
 )
 from .errors import SearchBudgetExceeded
-from .lp import BasicSolution, LpModel, LpRow, simplex_solve
+from .lp import BasicSolution, lp_relaxation, simplex_solve
 from .profile import Cell, before
-from .typesolve import DEFAULT_NODE_CAP, depth_first_leaves, type_index, type_min_cost_tables
-
-
-def lp_relaxation(inst: Instance) -> LpModel:
-    """Fractional relaxation over the individually feasible projects."""
-    ids = individually_feasible(inst)
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
-
-    rows = []
-    for f in sorted(inst.groups, key=lambda f: f.id):
-        coeffs = tuple(Fraction(cost[pid]) if pid in f.members else Fraction(0) for pid in ids)
-        if any(coeffs):
-            rows.append(LpRow(name=f"grp_{f.id}", coeffs=coeffs, rhs=Fraction(f.budget)))
-    rows.append(
-        LpRow(name="global", coeffs=tuple(Fraction(cost[pid]) for pid in ids), rhs=Fraction(inst.budget))
-    )
-    return LpModel(
-        var_names=ids,
-        objective=tuple(Fraction(scores[pid]) for pid in ids),
-        rows=tuple(rows),
-    )
+from .typesolve import depth_first_leaves, type_min_cost_tables
 
 
 def solve_lp_round(inst: Instance) -> SolveOutcome:

@@ -10,7 +10,7 @@ core.bundle_of, the idle rule's home.
 
 The nodes are visited depth first, including a project before excluding it.
 Projects are branched on in descending value at the root LP optimum
-(approx.lp_relaxation), then in descending surrogate efficiency, then by id.
+(lp.lp_relaxation), then in descending surrogate efficiency, then by id.
 
 A node's bound is the current key plus the smaller of two floored Dantzig
 bounds (the fractional knapsack optimum) over the free projects that still
@@ -32,8 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter
 
-from .approx import lp_relaxation
 from .core import (
+    DEFAULT_NODE_CAP,
     Instance,
     SolveOutcome,
     SolveStats,
@@ -41,11 +41,11 @@ from .core import (
     bundle_of,
     individually_feasible,
     require_no_utility_floors,
+    type_index,
 )
 from .errors import SearchBudgetExceeded
-from .lp import simplex_solve
+from .lp import lp_relaxation, simplex_solve
 from .profile import before, rank_bits
-from .typesolve import DEFAULT_NODE_CAP, type_index
 
 
 def _by_efficiency(items: list[tuple], weight_of) -> list[list[tuple]]:

@@ -9,28 +9,26 @@ nondeterministic field is stats.wall_time_s.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 from fractions import Fraction
 
-from .approx import solve_fptas_g, solve_lp_round
-from .bnbsolve import solve_bnb
+from . import __version__
 from .core import (
+    DEFAULT_CELL_CAP,
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_NODE_CAP,
+    DEFAULT_SIZE_CAP,
     Bundle,
     Instance,
     bundle_of,
     check_bundle,
     derived_stats,
+    is_hierarchical,
     normalize,
-)
-from .dimsolve import DEFAULT_CELL_CAP, solve_dimdp, table_cells
-from .distsolve import (
-    DEFAULT_DEPTH_CAP,
-    min_group_deletion_set,
-    min_project_deletion_set,
-    solve_group_deletion,
-    solve_project_deletion,
+    type_index,
 )
 from .errors import (
     GroupPBError,
@@ -40,27 +38,42 @@ from .errors import (
     TooLarge,
 )
 from .fileformat import parse_instance, serialize_instance
-from .generators import (
-    GenParams,
-    gen_from_graph_is,
-    gen_from_partition,
-    gen_random,
-    make_graph,
-)
-from .hiersolve import solve_hier
-from .layers import (
-    conflict_graph,
-    exact_layerwidth,
-    greedy_layers,
-    is_hierarchical,
-    ordered_hier_layers,
-    two_layer_decomposition,
-)
-from .milp import build_milp, export_lp_format
-from .oracle import DEFAULT_SIZE_CAP, solve_bruteforce
 from .profile import at_least
-from .typesolve import DEFAULT_NODE_CAP, solve_types_decision, solve_types_max, type_index
-from . import __version__
+
+# The solver entry points, each loaded from its module on first use, so that
+# a solve compiles only the modules its solvers run.  They stay attributes of
+# this module (see __getattr__), and every call looks them up here through
+# _loaded, so a wrapper set on this module sees each call.
+_LAZY = {
+    "solve_bruteforce": "oracle",
+    "solve_hier": "hiersolve",
+    "solve_bnb": "bnbsolve",
+    "min_group_deletion_set": "distsolve",
+    "min_project_deletion_set": "distsolve",
+    "solve_group_deletion": "distsolve",
+    "solve_project_deletion": "distsolve",
+    "solve_types_max": "typesolve",
+    "solve_types_decision": "typesolve",
+    "solve_dimdp": "dimsolve",
+    "table_cells": "dimsolve",
+    "solve_lp_round": "approx",
+    "solve_fptas_g": "approx",
+}
+
+
+def __getattr__(name: str):
+    """Load a _LAZY name from its module and keep it as this module's own."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _loaded(name: str):
+    """This module's current binding of a _LAZY name, loaded on first use."""
+    return globals().get(name) or __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,7 +183,7 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
         plan = [("types", "auto selected types: fallback to type enumeration")]
     else:
         plan = [("bnb", "auto selected bnb: family is not hierarchical")]
-        if table_cells(inst) <= args.cell_cap:
+        if _loaded("table_cells")(inst) <= args.cell_cap:
             plan.append(("dimdp", "auto fell back to dimdp: spending table fits the cell cap"))
     # Last resorts: exhaustive search when small, else rounding.
     if len(inst.projects) <= DEFAULT_SIZE_CAP:
@@ -183,29 +196,29 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
 def _run_solver(inst: Instance, algo: str, args):
     """Dispatch to one solver; returns (outcome, deletion-info or None)."""
     if algo == "bruteforce":
-        return solve_bruteforce(inst).to_outcome(), None
+        return _loaded("solve_bruteforce")(inst).to_outcome(), None
     if algo == "hier":
-        return solve_hier(inst, profile=args.profile), None
+        return _loaded("solve_hier")(inst, profile=args.profile), None
     if algo == "bnb":
-        return solve_bnb(inst, node_cap=args.node_cap), None
+        return _loaded("solve_bnb")(inst, node_cap=args.node_cap), None
     if algo in ("group-del", "proj-del"):
         kind, finder, solver = {
-            "group-del": ("group", min_group_deletion_set, solve_group_deletion),
-            "proj-del": ("project", min_project_deletion_set, solve_project_deletion),
+            "group-del": ("group", "min_group_deletion_set", "solve_group_deletion"),
+            "proj-del": ("project", "min_project_deletion_set", "solve_project_deletion"),
         }[algo]
-        analysis = finder(inst.groups, args.depth_cap)
+        analysis = _loaded(finder)(inst.groups, args.depth_cap)
         if analysis.deleted is None:
             raise SearchBudgetExceeded(f"no deletion set of size at most {analysis.depth_cap} exists")
         info = {"deleted": list(analysis.deleted), "kind": kind, "search_nodes": analysis.nodes}
-        return solver(inst, analysis.deleted, node_cap=args.node_cap), info
+        return _loaded(solver)(inst, analysis.deleted, node_cap=args.node_cap), info
     if algo == "types":
-        return solve_types_max(inst, node_cap=args.node_cap), None
+        return _loaded("solve_types_max")(inst, node_cap=args.node_cap), None
     if algo == "dimdp":
-        return solve_dimdp(inst, cell_cap=args.cell_cap), None
+        return _loaded("solve_dimdp")(inst, cell_cap=args.cell_cap), None
     if algo == "lp-round":
-        return solve_lp_round(inst), None
+        return _loaded("solve_lp_round")(inst), None
     if algo == "fptas-g":
-        return solve_fptas_g(inst, args.epsilon, node_cap=args.node_cap), None
+        return _loaded("solve_fptas_g")(inst, args.epsilon, node_cap=args.node_cap), None
     raise AssertionError(f"unhandled algorithm {algo}")
 
 
@@ -219,10 +232,11 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
     as the higher one and comes first in id order.
     """
     if algo == "types":
-        return solve_types_decision(inst, target, node_cap=args.node_cap)
+        return _loaded("solve_types_decision")(inst, target, node_cap=args.node_cap)
     # The solver's own profile, not its outcome: bruteforce's outcome raises
     # when no bundle is feasible (unmeetable floors), which is a "no" here.
-    profile = (solve_bruteforce(inst) if algo == "bruteforce" else solve_hier(inst)).profile
+    solver = _loaded("solve_bruteforce" if algo == "bruteforce" else "solve_hier")
+    profile = solver(inst).profile
     cells = at_least(list(profile.cells))
     cell = cells[target] if target < len(cells) else None
     return None if cell is None else bundle_of(inst, cell[1])
@@ -300,6 +314,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .layers import (
+        conflict_graph,
+        exact_layerwidth,
+        greedy_layers,
+        ordered_hier_layers,
+        two_layer_decomposition,
+    )
+
     inst = _load_normalized(args.instance)
     stats = derived_stats(inst)
     universe = frozenset(p.id for p in inst.projects)
@@ -324,12 +346,12 @@ def cmd_analyze(args) -> int:
     except NotHierarchical:
         ordered = None
 
-    ganal = min_group_deletion_set(inst.groups, args.depth_cap)
-    panal = min_project_deletion_set(inst.groups, args.depth_cap)
+    ganal = _loaded("min_group_deletion_set")(inst.groups, args.depth_cap)
+    panal = _loaded("min_project_deletion_set")(inst.groups, args.depth_cap)
 
     payload = {
         "conflict_edges": len(graph.edges),
-        "dim_table_cells": table_cells(inst),
+        "dim_table_cells": _loaded("table_cells")(inst),
         "exact_layerwidth": exact_width,
         "greedy_width": greedy.width,
         "group_deletion": {
@@ -363,6 +385,8 @@ def _parse_csv(text: str) -> list[str]:
 
 
 def cmd_gen(args) -> int:
+    from .generators import GenParams, gen_from_graph_is, gen_from_partition, gen_random, make_graph
+
     if args.kind == "random":
         try:
             params = GenParams(
@@ -405,6 +429,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_milp(args) -> int:
+    from .milp import build_milp, export_lp_format
+
     inst = _load_instance(args.instance)
     model = build_milp(inst)
     _write_text(export_lp_format(model), args.output)

@@ -6,11 +6,17 @@ limit.  Groups may overlap.  A bundle is feasible when its total cost fits the
 global budget and, for every group, the cost of the bundle's projects inside
 that group fits the group's budget.  Bundle utility is the sum over voters of
 the number of funded projects each voter approves.
+
+Besides the model, this module holds what every solve path reads, so that a
+solve loads no solver it does not run: the default resource caps of the
+solvers, the hierarchy test with its containment forest (laminar_forest),
+and the one project-by-groups classification (type_index).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,6 +24,14 @@ from .errors import InvalidInstance, UnknownProject, ValidationIssue
 from .profile import Cell, decode, rank_bits, with_idle
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
+
+# Default resource caps: search nodes (bnb, types, fptas-g, the deletion
+# solvers' funded subsets), dimdp table cells, deletion-search depth, and
+# the most projects bruteforce enumerates.
+DEFAULT_NODE_CAP = 10_000_000
+DEFAULT_CELL_CAP = 100_000_000
+DEFAULT_DEPTH_CAP = 8
+DEFAULT_SIZE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -120,6 +134,17 @@ class UtilityCostProfile:
         return None if top is None else self._entry(top)
 
 
+@dataclass(frozen=True)
+class TypeEntry:
+    groups: tuple[str, ...]  # sorted ids of the groups containing every member
+    members: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class TypeIndex:
+    types: tuple[TypeEntry, ...]
+
+
 @dataclass
 class SolveStats:
     nodes: int = 0
@@ -190,6 +215,60 @@ def bundle_of(inst: Instance, mask: int) -> Bundle:
         cost=sum(cost[pid] for pid in chosen),
         utility=sum(scores[pid] for pid in chosen),
     )
+
+
+def type_index(inst: Instance) -> TypeIndex:
+    """Group the projects by which groups contain them."""
+    containing: dict[str, list[str]] = {p.id: [] for p in inst.projects}
+    for f in sorted(inst.groups, key=lambda f: f.id):
+        for pid in f.members:
+            containing[pid].append(f.id)
+    buckets: dict[tuple[str, ...], list[str]] = {}
+    for pid, gids in containing.items():
+        buckets.setdefault(tuple(gids), []).append(pid)
+    types = tuple(
+        TypeEntry(groups=key, members=tuple(sorted(buckets[key]))) for key in sorted(buckets)
+    )
+    return TypeIndex(types=types)
+
+
+def laminar_forest(groups: Sequence[Group]) -> tuple[dict[str, str | None], dict[str, str]] | None:
+    """The containment forest of a hierarchical family, or None for any other.
+
+    Returns (parents, owner).  parents maps each nonempty group to its
+    minimal strict superset, or None; owner maps each project some group
+    holds to its smallest group.  The groups are visited largest first (ties
+    by id), and each project remembers the last group that held it.
+
+    The same pass decides hierarchy.  While the groups visited so far are
+    disjoint or strictly nested, those holding a project form a chain and
+    the project remembers the smallest.  Every earlier group that a next
+    group f meets, if f crosses and repeats none, is a strict superset of
+    f, so f's members share one owner (None counts as one), larger than f.
+    If f crosses some A, a member inside A remembers a group within A and a
+    member outside A cannot; if f repeats A, its owner is A, as large as f.
+    """
+    parents: dict[str, str | None] = {}
+    owner: dict[str, str] = {}
+    size: dict[str, int] = {}
+    for f in sorted((f for f in groups if f.members), key=lambda f: (-len(f.members), f.id)):
+        parent, *others = set(map(owner.get, f.members))
+        if others or parent is not None and size[parent] == len(f.members):
+            return None  # f crosses a group visited earlier, or repeats its parent
+        parents[f.id] = parent
+        size[f.id] = len(f.members)
+        owner.update(dict.fromkeys(f.members, f.id))
+    return parents, owner
+
+
+def is_hierarchical(groups: Sequence[Group]) -> bool:
+    """True when every pair of groups is disjoint or strictly nested.
+
+    Two groups with the same nonempty members are not strictly nested, so
+    duplicates must be merged (normalize does) before a family counts.
+    laminar_forest decides this in its one pass.
+    """
+    return laminar_forest(groups) is not None
 
 
 def individually_feasible(inst: Instance) -> tuple[str, ...]:

@@ -37,6 +37,7 @@ from math import ceil, prod, sqrt
 from typing import TYPE_CHECKING
 
 from .core import (
+    DEFAULT_CELL_CAP,
     Instance,
     SolveOutcome,
     SolveStats,
@@ -44,15 +45,13 @@ from .core import (
     bundle_of,
     individually_feasible,
     require_no_utility_floors,
+    type_index,
 )
 from .errors import TableTooLarge
 from .profile import rank_bits
-from .typesolve import type_index
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_CELL_CAP = 100_000_000
 
 
 def table_cells(inst: Instance) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_NODE_CAP,
     Bundle,
     Group,
     Instance,
@@ -27,9 +29,6 @@ from .core import (
 from .errors import InvalidDeletion, SearchBudgetExceeded
 from .hiersolve import solve_hier
 from .layers import crossing_pair
-from .typesolve import DEFAULT_NODE_CAP
-
-DEFAULT_DEPTH_CAP = 8
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ The family is arranged into a tree: a wrapper root carries the global budget,
 each group hangs under its minimal strict superset, and every project not
 covered by a deeper group becomes a synthetic leaf whose budget is its own
 cost.  Each node then gets a per-utility cost profile: the cheapest bundle of
-its subtree achieving each exact utility.  Children combine by min-plus
-convolution, and the node's budget erases entries it cannot afford.  The root
-profile answers every question at once: the optimum is its highest reachable
-utility, and the cheapest bundle reaching a target is the target's cell of
-its suffix minima (profile.at_least).  When only the optimum is asked for,
-every fold keeps only its undominated cells (profile.prune), which is all
-the optimum needs and a small part of the full profile.
+its subtree achieving each exact utility.  A leaf joins its parent's fold
+by profile.add_item, one candidate per cell, a child group by min-plus
+convolution (profile.combine), and the node's budget erases entries it
+cannot afford.  The root profile answers every question at once: the
+optimum is its highest reachable utility, and the cheapest bundle reaching
+a target is the target's cell of its suffix minima (profile.at_least).
+When only the optimum is asked for, every fold keeps only its undominated
+cells (profile.prune), which is all the optimum needs and a small part of
+the full profile.  The hierarchy test and the containment forest come from
+core, so a laminar solve loads no other solver module.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from .core import (
     SolveStats,
     UtilityCostProfile,
     approval_scores,
+    is_hierarchical,
+    laminar_forest,
     require_no_utility_floors,
 )
 from .errors import NotHierarchical
-from .layers import is_hierarchical, laminar_forest
-from .profile import Cell, combine, cut, item, prune, rank_bits, with_idle
+from .profile import Cell, add_item, combine, cut, prune, rank_bits, with_idle
 
 
 @dataclass(frozen=True)
@@ -105,24 +109,30 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
         node, parent = stack.pop()
         stack.extend((child, len(walk)) for child in node.children)
         walk.append((node, parent))
+    # A leaf folds in by add_item, one candidate per cell; stats.cells still
+    # counts the cells of its own profile, profile.item's.
     folds: dict[int, list[Cell]] = {}
     for at in range(len(walk) - 1, -1, -1):
         node, parent = walk[at]
+        left = folds.get(parent, [(0, 0)])
         if node.project is not None:
-            cells = item(scores[node.project], node.budget, bit[node.project])
+            score = scores[node.project]
+            stats.cells += score + 1 if score else 1
+            folds[parent] = add_item(left, score, node.budget, bit[node.project])
         else:
             cells = folds.pop(at, [(0, 0)])
             cut(cells, node.budget)
-        stats.cells += len(cells)
-        if parent is not None:
-            folds[parent] = combine(folds.get(parent, [(0, 0)]), cells)
-            if not profile:
-                prune(folds[parent])
+            stats.cells += len(cells)
+            if parent is None:
+                break  # the root, finished last
+            folds[parent] = combine(left, cells)
+        if not profile:
+            prune(folds[parent])
     stats.nodes = len(walk)
 
     # cells is the root's, finished last.  Idle projects never enter a cell
-    # (profile.item); each cell takes them by the idle rule, as core.bundle_of
-    # gives the other exact solvers.
+    # (add_item adds nothing of score 0); each cell takes them by the idle
+    # rule, as core.bundle_of gives the other exact solvers.
     idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
     root_profile = UtilityCostProfile(
         cells=tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in cells), ids=ids

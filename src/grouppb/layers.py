@@ -6,7 +6,8 @@ that intersect at all (nested or not) can never share a layer, so layerwidth
 is the chromatic number of the intersection graph.  Hierarchy is a different
 relation: a family is hierarchical (laminar) when any two nonempty groups are
 disjoint or strictly nested, i.e. when no two cross and no set repeats.
-laminar_forest decides it in the pass that builds the containment forest.
+core.laminar_forest decides it in the pass that builds the containment
+forest; core holds it and is_hierarchical because every solve asks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Group
+from .core import Group, is_hierarchical, laminar_forest  # is_hierarchical: re-exported
 from .errors import NotHierarchical, TooLarge
 
 # exact_layerwidth, a backtracking search, runs only up to this many groups.
@@ -89,16 +90,6 @@ def crossing_pair(member_sets: Mapping[str, frozenset[str]]) -> tuple[str, str] 
     return None
 
 
-def is_hierarchical(groups: Sequence[Group]) -> bool:
-    """True when every pair of groups is disjoint or strictly nested.
-
-    Two groups with the same nonempty members are not strictly nested, so
-    duplicates must be merged (normalize does) before a family counts.
-    laminar_forest decides this in its one pass.
-    """
-    return laminar_forest(groups) is not None
-
-
 def is_valid_decomposition(groups: Sequence[Group], layers: Sequence[Sequence[str]]) -> bool:
     """Layers must partition the family, each layer pairwise disjoint."""
     by_id = {f.id: f.members for f in groups}
@@ -141,35 +132,6 @@ def two_layer_decomposition(groups: Sequence[Group]) -> LayerDecomposition | Non
     first = tuple(v for v in graph.vertices if color[v] == 0)
     second = tuple(v for v in graph.vertices if color[v] == 1)
     return LayerDecomposition(layers=(first, second))
-
-
-def laminar_forest(groups: Sequence[Group]) -> tuple[dict[str, str | None], dict[str, str]] | None:
-    """The containment forest of a hierarchical family, or None for any other.
-
-    Returns (parents, owner).  parents maps each nonempty group to its
-    minimal strict superset, or None; owner maps each project some group
-    holds to its smallest group.  The groups are visited largest first (ties
-    by id), and each project remembers the last group that held it.
-
-    The same pass decides hierarchy.  While the groups visited so far are
-    disjoint or strictly nested, those holding a project form a chain and
-    the project remembers the smallest.  Every earlier group that a next
-    group f meets, if f crosses and repeats none, is a strict superset of
-    f, so f's members share one owner (None counts as one), larger than f.
-    If f crosses some A, a member inside A remembers a group within A and a
-    member outside A cannot; if f repeats A, its owner is A, as large as f.
-    """
-    parents: dict[str, str | None] = {}
-    owner: dict[str, str] = {}
-    size: dict[str, int] = {}
-    for f in sorted((f for f in groups if f.members), key=lambda f: (-len(f.members), f.id)):
-        parent, *others = set(map(owner.get, f.members))
-        if others or parent is not None and size[parent] == len(f.members):
-            return None  # f crosses a group visited earlier, or repeats its parent
-        parents[f.id] = parent
-        size[f.id] = len(f.members)
-        owner.update(dict.fromkeys(f.members, f.id))
-    return parents, owner
 
 
 def ordered_hier_layers(groups: Sequence[Group], universe: frozenset[str]) -> OrderedLayers:

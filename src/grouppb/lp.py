@@ -1,5 +1,8 @@
 """Exact linear programming over rationals: primal simplex with Bland's rule.
 
+lp_relaxation builds the one LP model of an instance, its fractional
+relaxation; lp-round rounds its vertex and bnb bounds with its duals.
+
 Models are maximization problems with <= rows and every variable boxed to
 [0, 1].  Box upper bounds become explicit rows, so the all-slack basis is
 feasible from the start (all right-hand sides are non-negative) and no
@@ -34,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .core import Instance, approval_scores, individually_feasible
+
 
 @dataclass(frozen=True)
 class LpRow:
@@ -63,6 +68,27 @@ class BasicSolution:
         return tuple(
             name for name, v in zip(self.var_names, self.values) if 0 < v < 1
         )
+
+
+def lp_relaxation(inst: Instance) -> LpModel:
+    """Fractional relaxation over the individually feasible projects."""
+    ids = individually_feasible(inst)
+    scores = approval_scores(inst)
+    cost = {p.id: p.cost for p in inst.projects}
+
+    rows = []
+    for f in sorted(inst.groups, key=lambda f: f.id):
+        coeffs = tuple(Fraction(cost[pid]) if pid in f.members else Fraction(0) for pid in ids)
+        if any(coeffs):
+            rows.append(LpRow(name=f"grp_{f.id}", coeffs=coeffs, rhs=Fraction(f.budget)))
+    rows.append(
+        LpRow(name="global", coeffs=tuple(Fraction(cost[pid]) for pid in ids), rhs=Fraction(inst.budget))
+    )
+    return LpModel(
+        var_names=ids,
+        objective=tuple(Fraction(scores[pid]) for pid in ids),
+        rows=tuple(rows),
+    )
 
 
 def _integer_row(values) -> list[int]:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, approval_scores, require_no_utility_floors
-from .typesolve import type_index
+from .core import Instance, approval_scores, require_no_utility_floors, type_index
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_SIZE_CAP,
     Bundle,
     Instance,
     SolveOutcome,
@@ -20,8 +21,6 @@ from .core import (
 )
 from .errors import TooLarge
 from .profile import decode, rank_bits
-
-DEFAULT_SIZE_CAP = 24
 
 
 @dataclass(frozen=True)

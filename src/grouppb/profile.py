@@ -17,6 +17,9 @@ The utility axis is never capped: a profile over projects of total score s
 has s + 1 cells, so cell z always means exactly z.  A question about
 utility at least a target reads the target's cell of ``at_least``.
 
+A fold adds a single project by ``add_item``, one candidate per cell, and
+convolves two folds of several projects by ``combine``.
+
 When only the optimum is wanted, ``prune`` erases the weakly dominated
 cells, those that some higher utility reaches at no more cost, and keeps
 the list's length.  An undominated cell of a combine is made of undominated
@@ -53,8 +56,32 @@ def before(a: int, b: int) -> bool:
 
 
 def item(score: int, cost: int, bit: int) -> list[Cell]:
-    """One project's profile; without score it never beats the empty bundle."""
+    """One project's profile; without score it never beats the empty bundle.
+
+    The solvers add a project by add_item; this is the definition it meets.
+    """
     return [(0, 0)] + [None] * (score - 1) + [(cost, bit)] if score > 0 else [(0, 0)]
+
+
+def add_item(left: list[Cell], score: int, cost: int, bit: int) -> list[Cell]:
+    """combine(left, item(score, cost, bit)) in one pass over left.
+
+    The item's empty half keeps left as it is, and each reachable cell z of
+    left offers one candidate at z + score, with the project added.  That is
+    the 0/1-knapsack item step (Kellerer, Pferschy & Pisinger, Knapsack
+    Problems, 2004), with before deciding equal costs as combine does.
+    """
+    if score == 0:
+        return list(left)
+    out = left + [None] * score
+    for z, cell in enumerate(left):
+        if cell is None:
+            continue
+        cost_with, mask_with = cell[0] + cost, cell[1] | bit
+        old = out[z + score]
+        if old is None or cost_with < old[0] or cost_with == old[0] and before(mask_with, old[1]):
+            out[z + score] = (cost_with, mask_with)
+    return out
 
 
 def combine(left: list[Cell], right: list[Cell]) -> list[Cell]:

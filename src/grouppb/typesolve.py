@@ -2,13 +2,15 @@
 
 Projects sharing exactly the same set of containing groups are
 interchangeable with respect to the budget constraints; each such class is a
-"type".  For every type a cost profile (profile.py) gives the cheapest
-sub-bundle of each exact utility, and its suffix minima the cheapest one
-reaching each utility target.  A feasibility question for target u reduces
-to trying the ways of splitting u across the types (compositions bounded by
-each type's attainable utility), checking every budget on the per-type
-cheapest choices.  The number of types is bounded by 2^g, so this is
-practical when the group count is small.
+"type" (core.type_index, the one project-by-groups classification, which
+bnb, dimdp, fptas-g and the MILP export read too).  For every type a cost
+profile (profile.py, built one project at a time by profile.add_item) gives
+the cheapest sub-bundle of each exact utility, and its suffix minima the
+cheapest one reaching each utility target.  A feasibility question for
+target u reduces to trying the ways of splitting u across the types
+(compositions bounded by each type's attainable utility), checking every
+budget on the per-type cheapest choices.  The number of types is bounded by
+2^g, so this is practical when the group count is small.
 
 The witness is the cheapest feasible allocation at the target, ties broken
 by profile.before on its rank mask, and core.bundle_of, the idle rule's
@@ -17,48 +19,22 @@ home, turns that mask into the canonical bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
+    DEFAULT_NODE_CAP,
     Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
+    TypeIndex,
     approval_scores,
     bundle_of,
     require_no_utility_floors,
+    type_index,
 )
 from .errors import SearchBudgetExceeded
-from .profile import Cell, at_least, before, combine, item, rank_bits
-
-DEFAULT_NODE_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class TypeEntry:
-    groups: tuple[str, ...]  # sorted ids of the groups containing every member
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TypeIndex:
-    types: tuple[TypeEntry, ...]
-
-
-def type_index(inst: Instance) -> TypeIndex:
-    """Group the projects by which groups contain them."""
-    containing: dict[str, list[str]] = {p.id: [] for p in inst.projects}
-    for f in sorted(inst.groups, key=lambda f: f.id):
-        for pid in f.members:
-            containing[pid].append(f.id)
-    buckets: dict[tuple[str, ...], list[str]] = {}
-    for pid, gids in containing.items():
-        buckets.setdefault(tuple(gids), []).append(pid)
-    types = tuple(
-        TypeEntry(groups=key, members=tuple(sorted(buckets[key]))) for key in sorted(buckets)
-    )
-    return TypeIndex(types=types)
+from .profile import Cell, add_item, at_least, before, rank_bits
 
 
 def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
@@ -75,7 +51,7 @@ def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
     for entry in index.types:
         reach: list[Cell] = [(0, 0)]
         for pid in entry.members:
-            reach = combine(reach, item(scores[pid], cost[pid], bit[pid]))
+            reach = add_item(reach, scores[pid], cost[pid], bit[pid])
         tables.append(reach)
     return tables
 

@@ -5,6 +5,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import grouppb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -53,3 +55,13 @@ def test_solver_parameters_are_pinned():
         "solve_lp_round": ("inst",),
         "solve_fptas_g": ("inst", "epsilon", "node_cap"),
     }
+
+
+def test_the_surface_resolves_on_demand():
+    assert set(grouppb.__all__) <= set(dir(grouppb))
+    namespace: dict = {}
+    exec("from grouppb import *", namespace)
+    assert set(grouppb.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(grouppb, name) for name in grouppb.__all__)
+    with pytest.raises(AttributeError):
+        grouppb.no_such_name

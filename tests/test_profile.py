@@ -1,6 +1,18 @@
 """The mask encoding of profile cells, pinned to the sorted-id tuple order."""
 
-from grouppb.profile import at_least, before, combine, cut, decode, item, rank_bits, with_idle
+from hypothesis import given, strategies as st
+
+from grouppb.profile import (
+    add_item,
+    at_least,
+    before,
+    combine,
+    cut,
+    decode,
+    item,
+    rank_bits,
+    with_idle,
+)
 
 
 def test_rank_bits_give_the_first_id_the_highest_bit():
@@ -44,3 +56,19 @@ def test_with_idle_adds_the_idle_ids_before_the_last_other_id():
                 while expected and expected[-1] in idle_ids:
                     expected.pop()
                 assert decode(with_idle(mask, idle), ids) == tuple(expected)
+
+
+# Profiles over 5 projects with the new one's bit kept out; small costs
+# make equal-cost cells, which before must order as combine does.
+_cells = st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 31)))
+
+
+@given(
+    st.lists(_cells, min_size=1, max_size=8),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 4, 8, 16]),
+)
+def test_add_item_is_combine_with_one_item(left, score, cost, bit):
+    left = [None if cell is None else (cell[0], cell[1] & ~bit) for cell in left]
+    assert add_item(left, score, cost, bit) == combine(left, item(score, cost, bit))
