@@ -26,7 +26,7 @@ from grouppb import (
     solve_types_max,
     validate_instance,
 )
-from grouppb.dimsolve import table_cells
+from grouppb.core import table_cells
 from grouppb.layers import exact_layerwidth, ordered_hier_layers
 
 

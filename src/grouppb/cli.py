@@ -28,6 +28,7 @@ from .core import (
     derived_stats,
     is_hierarchical,
     normalize,
+    table_cells,
     type_index,
 )
 from .errors import (
@@ -55,7 +56,6 @@ _LAZY = {
     "solve_types_max": "typesolve",
     "solve_types_decision": "typesolve",
     "solve_dimdp": "dimsolve",
-    "table_cells": "dimsolve",
     "solve_lp_round": "approx",
     "solve_fptas_g": "approx",
 }
@@ -183,7 +183,7 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
         plan = [("types", "auto selected types: fallback to type enumeration")]
     else:
         plan = [("bnb", "auto selected bnb: family is not hierarchical")]
-        if _loaded("table_cells")(inst) <= args.cell_cap:
+        if table_cells(inst) <= args.cell_cap:
             plan.append(("dimdp", "auto fell back to dimdp: spending table fits the cell cap"))
     # Last resorts: exhaustive search when small, else rounding.
     if len(inst.projects) <= DEFAULT_SIZE_CAP:
@@ -351,7 +351,7 @@ def cmd_analyze(args) -> int:
 
     payload = {
         "conflict_edges": len(graph.edges),
-        "dim_table_cells": _loaded("table_cells")(inst),
+        "dim_table_cells": table_cells(inst),
         "exact_layerwidth": exact_width,
         "greedy_width": greedy.width,
         "group_deletion": {

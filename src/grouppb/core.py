@@ -10,17 +10,22 @@ the number of funded projects each voter approves.
 Besides the model, this module holds what every solve path reads, so that a
 solve loads no solver it does not run: the default resource caps of the
 solvers, the hierarchy test with its containment forest (laminar_forest),
-and the one project-by-groups classification (type_index).
+the one project-by-groups classification (type_index), and the size of
+dimdp's table (table_cells), which auto reads on every non-laminar solve.
+
+The classes here are plain value classes on errors.Value, not dataclasses:
+a solve child builds each class without generating code, and never
+imports dataclasses.  Build a changed copy with the constructor.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .errors import InvalidInstance, UnknownProject, ValidationIssue
+from .errors import Fresh, InvalidInstance, UnknownProject, ValidationIssue, Value
 from .profile import Cell, decode, rank_bits, with_idle
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -34,20 +39,17 @@ DEFAULT_DEPTH_CAP = 8
 DEFAULT_SIZE_CAP = 24
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(Value):
     id: str
     cost: int
 
 
-@dataclass(frozen=True)
-class Voter:
+class Voter(Value):
     id: str
     approves: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Value):
     """A named subset of projects with its own budget limit.
 
     min_utility is an optional floor on the utility contributed by the
@@ -60,8 +62,7 @@ class Group:
     min_utility: int = 0
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """A validated election.  Projects, voters, and groups are id-sorted."""
 
     budget: int
@@ -73,16 +74,14 @@ class Instance:
         return {f.id: f for f in self.groups}
 
 
-@dataclass(frozen=True)
-class DerivedStats:
+class DerivedStats(Value):
     m: int
     n: int
     g: int
     total_score: int  # sum over projects of their approval score
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Value):
     """A set of funded projects with its precomputed cost and utility."""
 
     ids: tuple[str, ...]
@@ -90,16 +89,14 @@ class Bundle:
     utility: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     kind: str  # "global-budget" | "group-budget" | "group-utility-floor"
     scope: str  # group id, or "global"
     limit: int
     actual: int
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Value):
     violations: tuple[Violation, ...]
     cost: int
     utility: int
@@ -109,8 +106,7 @@ class FeasibilityReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class UtilityCostProfile:
+class UtilityCostProfile(Value):
     """cells[z] is the cheapest feasible bundle of utility exactly z, or None.
 
     A cell is (cost, mask) over the id order ids, as in profile.py; bundles
@@ -134,26 +130,22 @@ class UtilityCostProfile:
         return None if top is None else self._entry(top)
 
 
-@dataclass(frozen=True)
-class TypeEntry:
+class TypeEntry(Value):
     groups: tuple[str, ...]  # sorted ids of the groups containing every member
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TypeIndex:
+class TypeIndex(Value):
     types: tuple[TypeEntry, ...]
 
 
-@dataclass
-class SolveStats:
+class SolveStats(Value, frozen=False):
     nodes: int = 0
     cells: int = 0
     wall_time_s: float = 0.0
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(Value, frozen=False):
     """Result of any solver: witness and provenance.
 
     An exact result carries no guarantee; an approximate one carries the
@@ -164,7 +156,7 @@ class SolveOutcome:
     bundle: Bundle
     guarantee: Fraction | None = None
     profile: UtilityCostProfile | None = None
-    stats: SolveStats = field(default_factory=SolveStats)
+    stats: SolveStats = Fresh(SolveStats)
 
     @property
     def utility(self) -> int:
@@ -269,6 +261,11 @@ def is_hierarchical(groups: Sequence[Group]) -> bool:
     laminar_forest decides this in its one pass.
     """
     return laminar_forest(groups) is not None
+
+
+def table_cells(inst: Instance) -> int:
+    """Cell count dimdp's table would need for this instance."""
+    return prod(f.budget + 1 for f in inst.groups) * (inst.budget + 1)
 
 
 def individually_feasible(inst: Instance) -> tuple[str, ...]:

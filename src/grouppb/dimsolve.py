@@ -33,7 +33,7 @@ idle rule's home, drops the trailing run of them.
 
 from __future__ import annotations
 
-from math import ceil, prod, sqrt
+from math import ceil, sqrt
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -45,6 +45,7 @@ from .core import (
     bundle_of,
     individually_feasible,
     require_no_utility_floors,
+    table_cells,  # re-exported: tests and scripts read it here
     type_index,
 )
 from .errors import TableTooLarge
@@ -52,11 +53,6 @@ from .profile import rank_bits
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def table_cells(inst: Instance) -> int:
-    """Cell count the DP table would need for this instance."""
-    return prod(f.budget + 1 for f in inst.groups) * (inst.budget + 1)
 
 
 def _add(table: np.ndarray, score: int, vector: tuple[int, ...]) -> None:

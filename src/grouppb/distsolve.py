@@ -11,8 +11,6 @@ and solve the hierarchical remainder exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_NODE_CAP,
@@ -26,13 +24,12 @@ from .core import (
     preference_key,
     require_no_utility_floors,
 )
-from .errors import InvalidDeletion, SearchBudgetExceeded
+from .errors import InvalidDeletion, SearchBudgetExceeded, Value
 from .hiersolve import solve_hier
 from .layers import crossing_pair
 
 
-@dataclass(frozen=True)
-class DeletionAnalysis:
+class DeletionAnalysis(Value):
     """Outcome of a minimum-deletion search.
 
     deleted is None when no deletion set within depth_cap exists.  Otherwise

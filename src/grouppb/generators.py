@@ -9,11 +9,10 @@ assert against an independent combinatorial computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Group, ID_PATTERN, Instance, Project, Voter, validate_instance
-from .errors import InvalidGraph, OddTotal
+from .errors import InvalidGraph, OddTotal, Value
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,8 +58,7 @@ class SplitMix64:
         return self.sample(items, len(items))
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Value):
     """Knobs for gen_random.  budget_fraction must be a rational in (0, 1]."""
 
     m: int
@@ -72,9 +70,10 @@ class GenParams:
     approvals_lo: int = 1
     approvals_hi: int = 3
     family_shape: str = "random-subsets"  # or "laminar" or "partition"
-    budget_fraction: Fraction = field(default=Fraction(1, 2))
+    budget_fraction: Fraction = Fraction(1, 2)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.m < 1 or self.n < 0 or self.g < 0:
             raise ValueError("m >= 1, n >= 0, g >= 0 required")
         if not (0 <= self.cost_lo <= self.cost_hi):
@@ -173,8 +172,7 @@ def gen_random(params: GenParams) -> Instance:
     )
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Value):
     """Undirected graph with string vertex ids; edges stored endpoint-sorted."""
 
     vertices: tuple[str, ...]

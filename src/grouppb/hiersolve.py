@@ -18,8 +18,6 @@ core, so a laminar solve loads no other solver module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Instance,
     SolveOutcome,
@@ -30,12 +28,11 @@ from .core import (
     laminar_forest,
     require_no_utility_floors,
 )
-from .errors import NotHierarchical
+from .errors import NotHierarchical, Value
 from .profile import Cell, add_item, combine, cut, prune, rank_bits, with_idle
 
 
-@dataclass(frozen=True)
-class HierNode:
+class HierNode(Value):
     """Tree node: a real group, the wrapper root, or a single-project leaf."""
 
     label: str | None  # group id; None for the root wrapper and for leaves

@@ -12,18 +12,16 @@ forest; core holds it and is_hierarchical because every solve asks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Group, is_hierarchical, laminar_forest  # is_hierarchical: re-exported
-from .errors import NotHierarchical, TooLarge
+from .errors import NotHierarchical, TooLarge, Value
 
 # exact_layerwidth, a backtracking search, runs only up to this many groups.
 EXACT_WIDTH_CAP = 12
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(Value):
     """Vertices are group ids; an edge joins any two groups that intersect."""
 
     vertices: tuple[str, ...]
@@ -37,8 +35,7 @@ class ConflictGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(Value):
     layers: tuple[tuple[str, ...], ...]
 
     @property
@@ -46,8 +43,7 @@ class LayerDecomposition:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class OrderedLayers:
+class OrderedLayers(Value):
     """Layering where each group sits below a superset in the previous layer.
 
     layers holds only real groups.  When no group equals the project universe

@@ -33,22 +33,20 @@ every multiplier by it scales both sides alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .core import Instance, approval_scores, individually_feasible
+from .errors import Value
 
 
-@dataclass(frozen=True)
-class LpRow:
+class LpRow(Value):
     name: str
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class LpModel:
+class LpModel(Value):
     """max objective . x  subject to  rows (<=)  and  0 <= x <= 1."""
 
     var_names: tuple[str, ...]
@@ -56,8 +54,7 @@ class LpModel:
     rows: tuple[LpRow, ...]
 
 
-@dataclass(frozen=True)
-class BasicSolution:
+class BasicSolution(Value):
     var_names: tuple[str, ...]
     values: tuple[Fraction, ...]
     objective: Fraction

@@ -11,13 +11,11 @@ model is built and exported only; no solver is invoked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Instance, approval_scores, require_no_utility_floors, type_index
+from .errors import Value
 
 
-@dataclass(frozen=True)
-class MilpType:
+class MilpType(Value):
     """One (containing groups, approval score) class of projects."""
 
     groups: tuple[str, ...]
@@ -37,8 +35,7 @@ class MilpType:
         return f"y_{self.tag}_{i + 1}"
 
 
-@dataclass(frozen=True)
-class MilpModel:
+class MilpModel(Value):
     budget: int
     group_budgets: tuple[tuple[str, int], ...]  # (group id, budget), id-sorted
     types: tuple[MilpType, ...]

@@ -8,8 +8,6 @@ matters: the default of 24 already allocates two 16M-entry tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DEFAULT_SIZE_CAP,
     Bundle,
@@ -19,12 +17,11 @@ from .core import (
     UtilityCostProfile,
     approval_scores,
 )
-from .errors import TooLarge
+from .errors import TooLarge, Value
 from .profile import decode, rank_bits
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Value):
     """Optimum over all feasible bundles, plus the per-utility cost profile.
 
     witness, and so optimum, is None when no bundle at all is feasible, which

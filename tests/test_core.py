@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from grouppb import (
     Group,
     Instance,
     Project,
+    SolveOutcome,
+    SolveStats,
     UtilityFloorsUnsupported,
     Voter,
     check_bundle,
@@ -207,3 +211,96 @@ def test_corpus_builder_shapes_are_valid():
         assert derived_stats(inst).m >= 1
         for f in inst.groups:
             assert f.budget <= inst.budget
+
+
+# The value classes: each one built by keyword and by position, with its repr.
+_BUNDLE = Bundle(ids=("p1",), cost=2, utility=1)
+VALUES = [
+    (Project(id="p1", cost=2), Project("p1", 2), "Project(id='p1', cost=2)"),
+    (
+        Voter(id="v1", approves=frozenset({"p1"})),
+        Voter("v1", frozenset({"p1"})),
+        "Voter(id='v1', approves=frozenset({'p1'}))",
+    ),
+    (
+        Group(id="F1", members=frozenset({"p1"}), budget=3),
+        Group("F1", frozenset({"p1"}), 3, 0),
+        "Group(id='F1', members=frozenset({'p1'}), budget=3, min_utility=0)",
+    ),
+    (
+        Instance(budget=5, projects=(Project("p1", 2),), voters=(), groups=()),
+        Instance(5, (Project("p1", 2),), (), ()),
+        "Instance(budget=5, projects=(Project(id='p1', cost=2),), voters=(), groups=())",
+    ),
+    (_BUNDLE, Bundle(("p1",), 2, 1), "Bundle(ids=('p1',), cost=2, utility=1)"),
+    (SolveStats(nodes=4), SolveStats(4, 0, 0.0), "SolveStats(nodes=4, cells=0, wall_time_s=0.0)"),
+    (
+        SolveOutcome(algorithm="hier", bundle=_BUNDLE),
+        SolveOutcome("hier", _BUNDLE, None, None, SolveStats()),
+        "SolveOutcome(algorithm='hier', bundle=Bundle(ids=('p1',), cost=2, utility=1),"
+        " guarantee=None, profile=None, stats=SolveStats(nodes=0, cells=0, wall_time_s=0.0))",
+    ),
+]
+VALUE_IDS = [type(value).__name__ for value, _, _ in VALUES]
+MUTABLE = (SolveStats, SolveOutcome)
+
+
+@pytest.mark.parametrize("by_keyword, by_position, _", VALUES, ids=VALUE_IDS)
+def test_value_classes_build_by_position_and_keyword(by_keyword, by_position, _):
+    assert by_keyword == by_position
+    assert vars(by_keyword) == vars(by_position)
+
+
+def test_value_class_defaults():
+    assert Group(id="F1", members=frozenset(), budget=3).min_utility == 0
+    assert SolveStats() == SolveStats(nodes=0, cells=0, wall_time_s=0.0)
+    first, second = SolveOutcome("hier", _BUNDLE), SolveOutcome("hier", _BUNDLE)
+    assert (first.guarantee, first.profile, first.stats) == (None, None, SolveStats())
+    first.stats.nodes = 7
+    assert second.stats.nodes == 0  # each outcome gets its own stats
+
+
+@pytest.mark.parametrize("value, same, _", VALUES, ids=VALUE_IDS)
+def test_value_classes_equal_only_within_their_class(value, same, _):
+    twin_class = type("Twin", (type(value),), {})
+    twin = twin_class(*vars(same).values())
+    assert value == same and not value != same
+    assert value != twin and twin != value
+
+
+@pytest.mark.parametrize("value, same, _", VALUES, ids=VALUE_IDS)
+def test_frozen_value_classes_hash_by_fields(value, same, _):
+    if isinstance(value, MUTABLE):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+        assert len({value, same}) == 1
+
+
+@pytest.mark.parametrize("value, _, __", VALUES, ids=VALUE_IDS)
+def test_frozen_value_classes_refuse_assignment_and_deletion(value, _, __):
+    name = next(iter(vars(value)))
+    if isinstance(value, MUTABLE):
+        copied = copy.copy(value)
+        setattr(copied, name, None)
+        assert getattr(copied, name) is None
+        delattr(copied, name)
+    else:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is not None
+
+
+@pytest.mark.parametrize("value, _, text", VALUES, ids=VALUE_IDS)
+def test_value_class_repr(value, _, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, _, __", VALUES, ids=VALUE_IDS)
+def test_value_classes_pickle_and_copy(value, _, __):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from grouppb import (
     Group,
     Instance,
     Project,
+    SolveOutcome,
     Voter,
     check_bundle,
     gen_random,
@@ -145,11 +145,14 @@ def test_frontier_fold_keeps_the_witness_and_stats(inst, unit):
     # Unit costs tie many cells, and a third of each budget binds more often.
     if unit:
         inst = validate_instance(
-            replace(
-                inst,
+            Instance(
                 budget=inst.budget // 3,
-                projects=tuple(replace(p, cost=min(p.cost, 1)) for p in inst.projects),
-                groups=tuple(replace(f, budget=f.budget // 3) for f in inst.groups),
+                projects=tuple(Project(id=p.id, cost=min(p.cost, 1)) for p in inst.projects),
+                voters=inst.voters,
+                groups=tuple(
+                    Group(id=f.id, members=f.members, budget=f.budget // 3, min_utility=f.min_utility)
+                    for f in inst.groups
+                ),
             )
         )
     full, frontier = solve_hier(inst), solve_hier(inst, profile=False)
@@ -172,7 +175,9 @@ def test_tree_matches_the_maximal_group_scan(seed, shape, empties, universe):
     everything = frozenset(p.id for p in inst.projects)
     if universe and all(f.members != everything for f in inst.groups):
         extra.append(Group(id="U", members=everything, budget=inst.budget // 2))
-    inst = replace(inst, groups=inst.groups + tuple(extra))
+    inst = Instance(
+        budget=inst.budget, projects=inst.projects, voters=inst.voters, groups=inst.groups + tuple(extra)
+    )
     assert build_hier_tree(inst) == hier_tree_reference(inst)
 
 
@@ -220,7 +225,10 @@ def test_matches_tuple_reference_above_bruteforce_sizes(shape, m, seed):
         out = solve_hier(inst)
         ref, entries = hier_tuple_reference(inst)
         assert out.profile.entries == entries
-        assert replace(out, profile=None) == ref
+        without_profile = SolveOutcome(
+            algorithm=out.algorithm, bundle=out.bundle, guarantee=out.guarantee, stats=out.stats
+        )
+        assert without_profile == ref
         # The reference's capped top entry is the at-least cell of the full
         # profile.  Caps of 1 and 3 saturate early, where nested bundles of
         # equal cost tie.

@@ -1,7 +1,9 @@
 """A command line solve loads only the modules that its solvers run.
 
 Each check starts a fresh interpreter, as every ``grouppb solve`` does, and
-reads the grouppb modules in sys.modules when that interpreter exits.
+reads the modules in sys.modules when that interpreter exits.  Besides the
+grouppb modules, a solve loads neither dataclasses nor inspect, which would
+cost a child about 9 ms, unless a bare interpreter loads them already.
 ``-X importtime`` would not do: it misses modules that importlib.import_module
 loads, which is how the package and cli resolve their names on first use.
 """
@@ -25,29 +27,48 @@ runpy.run_module("grouppb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def _loaded(code: str, *args: str) -> tuple[set[str], str]:
-    """The grouppb modules a fresh interpreter loaded running code, and its stdout."""
+# Prints what a bare interpreter loads, as SOLVE's exit hook does.
+BARE = "import json, sys; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+# Standard modules that no solve needs.
+UNNEEDED = {"dataclasses", "inspect"}
+
+
+def _run(code: str, *args: str) -> tuple[set[str], str]:
+    """Every module a fresh interpreter loaded running code, and its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    modules = json.loads(run.stderr.splitlines()[-1])
-    return {m.split(".", 1)[1] for m in modules if m.startswith("grouppb.")}, run.stdout
+    return set(json.loads(run.stderr.splitlines()[-1])), run.stdout
+
+
+def _grouppb(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("grouppb.")}
+
+
+def _unneeded(modules: set[str]) -> set[str]:
+    """The UNNEEDED modules among modules that a bare interpreter does not load."""
+    bare, _ = _run(BARE)
+    return (modules - bare) & UNNEEDED
 
 
 def test_importing_the_package_loads_no_submodule():
-    modules, _ = _loaded(
-        "import json, sys, grouppb; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
-    )
-    assert modules == set()
+    modules, _ = _run(f"import grouppb; {BARE}")
+    assert _grouppb(modules) == set()
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    modules, _ = _run(f"import grouppb.cli; {BARE}")
+    assert _unneeded(modules) == set()
 
 
 def test_a_laminar_solve_loads_hier_and_what_every_solve_needs():
-    modules, out = _loaded(SOLVE, "solve", str(LAMINAR))
+    modules, out = _run(SOLVE, "solve", str(LAMINAR))
     assert json.loads(out)["algorithm"] == "hier"
-    assert modules == {"core", "errors", "profile", "fileformat", "hiersolve"}
+    assert _grouppb(modules) == {"core", "errors", "profile", "fileformat", "hiersolve"}
+    assert _unneeded(modules) == set()
 
 
 def test_a_bnb_solve_loads_no_other_solver(tmp_path):
@@ -55,9 +76,7 @@ def test_a_bnb_solve_loads_no_other_solver(tmp_path):
     data["groups"].append({"id": "F3", "members": ["p1", "p2"], "budget": 4})  # crosses F1 and F2
     crossing = tmp_path / "crossing.json"
     crossing.write_text(json.dumps(data), encoding="utf-8")
-    modules, out = _loaded(SOLVE, "solve", str(crossing))
+    modules, out = _run(SOLVE, "solve", str(crossing))
     assert json.loads(out)["algorithm"] == "bnb"
-    assert "bnbsolve" in modules
-    assert modules.isdisjoint(
-        {"hiersolve", "layers", "distsolve", "oracle", "typesolve", "approx", "generators", "milp"}
-    )
+    assert _grouppb(modules) == {"core", "errors", "profile", "fileformat", "lp", "bnbsolve"}
+    assert _unneeded(modules) == set()
