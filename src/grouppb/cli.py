@@ -13,7 +13,6 @@ import importlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .core import (
@@ -41,37 +40,23 @@ from .errors import (
 from .fileformat import parse_instance, serialize_instance
 from .profile import at_least
 
-# The solver entry points, each loaded from its module on first use, so that
-# a solve compiles only the modules its solvers run.  They stay attributes of
-# this module (see __getattr__), and every call looks them up here through
-# _loaded, so a wrapper set on this module sees each call.
-_LAZY = {
-    "solve_bruteforce": "oracle",
-    "solve_hier": "hiersolve",
-    "solve_bnb": "bnbsolve",
-    "min_group_deletion_set": "distsolve",
-    "min_project_deletion_set": "distsolve",
-    "solve_group_deletion": "distsolve",
-    "solve_project_deletion": "distsolve",
-    "solve_types_max": "typesolve",
-    "solve_types_decision": "typesolve",
-    "solve_dimdp": "dimsolve",
-    "solve_lp_round": "approx",
-    "solve_fptas_g": "approx",
-}
-
 
 def __getattr__(name: str):
-    """Load a _LAZY name from its module and keep it as this module's own."""
-    if name not in _LAZY:
+    """Load a name of the package's __all__ on first use and keep it as this module's own.
+
+    Every call looks its solver up here through _loaded, so a wrapper set on
+    this module sees each call.
+    """
+    package = importlib.import_module(__package__)
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    value = getattr(package, name)
     globals()[name] = value
     return value
 
 
 def _loaded(name: str):
-    """This module's current binding of a _LAZY name, loaded on first use."""
+    """This module's current binding of a package export, loaded on first use."""
     return globals().get(name) or __getattr__(name)
 
 
@@ -95,7 +80,6 @@ ALGOS = (
 # The algorithms that answer --decision-u queries, besides auto.
 DECISION_ALGOS = ("bruteforce", "hier", "types")
 
-USAGE_ERRORS = (GroupPBError,)
 RESOURCE_ERRORS = (TooLarge, TableTooLarge, SearchBudgetExceeded)
 
 
@@ -163,10 +147,6 @@ def _load_normalized(path: str) -> Instance:
     return inst
 
 
-def _has_floors(inst: Instance) -> bool:
-    return any(f.min_utility > 0 for f in inst.groups)
-
-
 def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
     """The solvers auto tries, in order, each with the note printed before it.
 
@@ -174,7 +154,7 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
     hits a resource cap.  Decision queries skip the solvers that cannot answer
     them: bnb, dimdp and lp-round.
     """
-    if _has_floors(inst):
+    if any(f.min_utility > 0 for f in inst.groups):
         return [("bruteforce", "auto selected bruteforce: utility floors present")]
     if is_hierarchical(inst.groups):
         return [("hier", "auto selected hier: family is hierarchical")]
@@ -218,7 +198,10 @@ def _run_solver(inst: Instance, algo: str, args):
     if algo == "lp-round":
         return _loaded("solve_lp_round")(inst), None
     if algo == "fptas-g":
-        return _loaded("solve_fptas_g")(inst, args.epsilon, node_cap=args.node_cap), None
+        from fractions import Fraction
+
+        epsilon = Fraction(1, 2) if args.epsilon is None else args.epsilon
+        return _loaded("solve_fptas_g")(inst, epsilon, node_cap=args.node_cap), None
     raise AssertionError(f"unhandled algorithm {algo}")
 
 
@@ -399,7 +382,7 @@ def cmd_gen(args) -> int:
                 approvals_lo=args.approvals_lo,
                 approvals_hi=args.approvals_hi,
                 family_shape=args.shape,
-                budget_fraction=Fraction(args.budget_fraction),
+                budget_fraction=args.budget_fraction,
             )
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -444,6 +427,16 @@ def _whole(text: str) -> int:
     return int(text)
 
 
+def _fraction(text: str):
+    """An --epsilon value, converted only when given: fractions costs a solve a few ms."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_cap_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node-cap", type=_whole, default=DEFAULT_NODE_CAP)
     parser.add_argument("--cell-cap", type=_whole, default=DEFAULT_CELL_CAP)
@@ -463,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=ALGOS, default="auto")
     p_solve.add_argument(
         "--epsilon",
-        type=Fraction,
-        default=Fraction(1, 2),
+        type=_fraction,
+        default=None,
         help="accuracy for fptas-g, e.g. 1/2 or 0.25",
     )
     p_solve.add_argument(
@@ -527,16 +520,10 @@ def main(argv=None) -> int:
     except RESOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (GroupPBError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,11 +22,21 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from fractions import Fraction
 from math import prod
+from typing import TYPE_CHECKING
 
-from .errors import Fresh, InvalidInstance, UnknownProject, ValidationIssue, Value
+from .errors import (
+    Fresh,
+    InvalidInstance,
+    UnknownProject,
+    UtilityFloorsUnsupported,
+    ValidationIssue,
+    Value,
+)
 from .profile import Cell, decode, rank_bits, with_idle
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -465,8 +475,6 @@ def check_bundle(inst: Instance, project_ids) -> FeasibilityReport:
 
 def require_no_utility_floors(inst: Instance) -> None:
     """Guard for optimized solvers, which do not model per-group utility floors."""
-    from .errors import UtilityFloorsUnsupported
-
     floored = sorted(f.id for f in inst.groups if f.min_utility > 0)
     if floored:
         raise UtilityFloorsUnsupported(

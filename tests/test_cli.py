@@ -148,6 +148,41 @@ def test_auto_names_the_node_cap_before_falling_back_to_lp_round(capsys, tmp_pat
     assert "dimdp" not in err
 
 
+def bit_family(m: int, bits: int) -> Instance:
+    """m unit-cost projects, one voter each; project i is in G_j when bit j of i is set.
+
+    Every group budget is 1 and the global budget is 3, so all bundles of
+    three projects with pairwise disjoint bits tie, and bnb must visit many
+    of them to prove that none does better.
+    """
+    ids = [f"p{i:04d}" for i in range(m)]
+    return Instance(
+        budget=3,
+        projects=tuple(Project(id=pid, cost=1) for pid in ids),
+        voters=tuple(Voter(id=f"v{pid}", approves=frozenset({pid})) for pid in ids),
+        groups=tuple(
+            Group(id=f"G{j}", members=frozenset(ids[i] for i in range(m) if i >> j & 1), budget=1)
+            for j in range(bits)
+        ),
+    )
+
+
+def test_auto_falls_back_to_dimdp_when_bnb_reaches_its_cap(capsys, tmp_path):
+    path = write_instance(tmp_path, bit_family(64, 6))
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == 0
+    uncapped = json.loads(out)
+    assert uncapped["algorithm"] == "bnb" and uncapped["stats"]["nodes"] == 2091
+    assert uncapped["bundle"] == {"ids": ["p0000", "p0001", "p0002"], "cost": 3, "utility": 3}
+    code, out, err = run_cli(capsys, "solve", path, "--node-cap", "1000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == "dimdp" and payload["exact"] is True
+    assert payload["bundle"] == uncapped["bundle"]
+    assert "bnb stopped: node cap of 1000 reached" in err
+    assert err.index("bnb stopped") < err.index("auto fell back to dimdp")
+
+
 @pytest.mark.parametrize(
     "algo", ["bruteforce", "hier", "bnb", "group-del", "proj-del", "types", "dimdp"]
 )
@@ -168,6 +203,20 @@ def test_approximate_algos_report_guarantees(capsys, algo):
     assert payload["exact"] is False
     assert payload["guarantee"] is not None
     assert payload["utility"] == 4  # both happen to find the optimum here
+
+
+def test_fptas_epsilon_defaults_to_one_half(capsys):
+    for extra in ([], ["--epsilon", "0.5"]):
+        code, out, _ = run_cli(capsys, "solve", DISTRICT, "--algo", "fptas-g", *extra)
+        assert code == 0
+        assert json.loads(out)["guarantee"] == "3/2"
+
+
+def test_malformed_epsilon_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", DISTRICT, "--epsilon", "abc"])
+    assert exc.value.code == 2
+    assert "argument --epsilon: invalid Fraction value: 'abc'" in capsys.readouterr().err
 
 
 def test_solve_reports_deletion_info(capsys):
