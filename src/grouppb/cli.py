@@ -9,6 +9,7 @@ nondeterministic field is stats.wall_time_s.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -433,7 +434,7 @@ def _fraction(text: str):
 
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
@@ -443,15 +444,7 @@ def _add_cap_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth-cap", type=_whole, default=DEFAULT_DEPTH_CAP)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grouppb",
-        description="Solvers for approval budgeting with overlapping group budgets.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="maximize utility on an instance file")
+def _solve_arguments(p_solve: argparse.ArgumentParser) -> None:
     p_solve.add_argument("instance", help="instance JSON file, or - for stdin")
     p_solve.add_argument("--algo", choices=ALGOS, default="auto")
     p_solve.add_argument(
@@ -466,21 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--profile", action="store_true", help="include the cost profile")
     p_solve.add_argument("-o", "--output", default=None)
     _add_cap_options(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_check = sub.add_parser("check", help="test a bundle against all budgets")
+
+def _check_arguments(p_check: argparse.ArgumentParser) -> None:
     p_check.add_argument("instance")
     p_check.add_argument("bundle", help="JSON array of project ids, or - for stdin")
     p_check.add_argument("-o", "--output", default=None)
-    p_check.set_defaults(func=cmd_check)
 
-    p_analyze = sub.add_parser("analyze", help="report structure of the group family")
+
+def _analyze_arguments(p_analyze: argparse.ArgumentParser) -> None:
     p_analyze.add_argument("instance")
     p_analyze.add_argument("--depth-cap", type=_whole, default=DEFAULT_DEPTH_CAP)
     p_analyze.add_argument("-o", "--output", default=None)
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
+
+def _gen_arguments(p_gen: argparse.ArgumentParser) -> None:
     p_gen.add_argument("--kind", choices=("random", "graph-is", "partition"), default="random")
     p_gen.add_argument("--m", type=int, default=10)
     p_gen.add_argument("--n", type=int, default=5)
@@ -502,18 +495,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--values", default="", help="partition: comma separated numbers")
     p_gen.add_argument("-o", "--output", default=None)
-    p_gen.set_defaults(func=cmd_gen)
 
-    p_milp = sub.add_parser("export-milp", help="write the integer program in LP format")
+
+def _export_milp_arguments(p_milp: argparse.ArgumentParser) -> None:
     p_milp.add_argument("instance")
     p_milp.add_argument("-o", "--output", default=None)
-    p_milp.set_defaults(func=cmd_export_milp)
 
+
+# Each subcommand's help line, arguments and handler, in the order of --help.
+SUBCOMMANDS = {
+    "solve": ("maximize utility on an instance file", _solve_arguments, cmd_solve),
+    "check": ("test a bundle against all budgets", _check_arguments, cmd_check),
+    "analyze": ("report structure of the group family", _analyze_arguments, cmd_analyze),
+    "gen": ("generate an instance file", _gen_arguments, cmd_gen),
+    "export-milp": ("write the integer program in LP format", _export_milp_arguments, cmd_export_milp),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The grouppb parser; given a command, only that subcommand gets its arguments.
+
+    Every subcommand is registered with its help line either way, so the
+    top-level help and its errors read the same.  A solve builds only the
+    solve subcommand's arguments.
+    """
+    parser = argparse.ArgumentParser(
+        prog="grouppb",
+        description="Solvers for approval budgeting with overlapping group budgets.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level options take no value, so the first other word is the command.
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -528,5 +551,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """The console entry point: main, then freeze the heap for a quick exit.
+
+    gc.freeze moves every live object out of the collector's reach, so the
+    interpreter's shutdown collection has nothing to walk.  main itself does
+    not freeze: tests and tools call it in-process and keep running.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -349,8 +349,8 @@ def validate_instance(inst: Instance) -> Instance:
         if v.id in seen:
             issues.append(ValidationIssue("duplicate-id", f"voter id {v.id} repeats"))
         seen.add(v.id)
-        for pid in sorted(v.approves):
-            if pid not in known:
+        if not v.approves <= known:
+            for pid in sorted(v.approves - known):
                 issues.append(
                     ValidationIssue("dangling-reference", f"voter {v.id} approves unknown project {pid}")
                 )
@@ -363,8 +363,8 @@ def validate_instance(inst: Instance) -> Instance:
         if f.id in seen:
             issues.append(ValidationIssue("duplicate-id", f"group id {f.id} repeats"))
         seen.add(f.id)
-        for pid in sorted(f.members):
-            if pid not in known:
+        if not f.members <= known:
+            for pid in sorted(f.members - known):
                 issues.append(
                     ValidationIssue("dangling-reference", f"group {f.id} contains unknown project {pid}")
                 )

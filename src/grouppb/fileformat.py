@@ -32,8 +32,12 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int(value, where: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{where} must be an integer")
+    _require(_is_int(value), f"{where} must be an integer")
     return value
 
 
@@ -50,6 +54,71 @@ def _as_list(value, where: str) -> list:
 def _as_dict(value, where: str) -> dict:
     _require(isinstance(value, dict), f"{where} must be an object")
     return value
+
+
+# Each record kind has a shape test and a slow path.  The test passes exactly
+# when the record is well formed, so a valid file builds no message; the slow
+# path checks the record field by field and raises the first problem's
+# SchemaError.
+
+
+def _is_project(rec) -> bool:
+    return (
+        isinstance(rec, dict) and len(rec) == 2 and isinstance(rec.get("id"), str) and _is_int(rec.get("cost"))
+    )
+
+
+def _project(i: int, rec) -> Project:
+    rec = _as_dict(rec, f"projects[{i}]")
+    _require(set(rec) == {"id", "cost"}, f"projects[{i}] must have exactly id and cost")
+    return Project(id=_as_str(rec["id"], f"projects[{i}].id"), cost=_as_int(rec["cost"], f"projects[{i}].cost"))
+
+
+def _is_voter(rec) -> bool:
+    if not (isinstance(rec, dict) and len(rec) == 2 and isinstance(rec.get("id"), str)):
+        return False
+    approves = rec.get("approves")
+    return isinstance(approves, list) and all(isinstance(a, str) for a in approves)
+
+
+def _voter(i: int, rec) -> Voter:
+    rec = _as_dict(rec, f"voters[{i}]")
+    _require(set(rec) == {"id", "approves"}, f"voters[{i}] must have exactly id and approves")
+    approves = _as_list(rec["approves"], f"voters[{i}].approves")
+    return Voter(
+        id=_as_str(rec["id"], f"voters[{i}].id"),
+        approves=frozenset(_as_str(a, f"voters[{i}].approves[{j}]") for j, a in enumerate(approves)),
+    )
+
+
+_GROUP_KEYS = {"id", "members", "budget", "min_utility"}
+
+
+def _is_group(rec) -> bool:
+    if not (isinstance(rec, dict) and rec.keys() <= _GROUP_KEYS and isinstance(rec.get("id"), str)):
+        return False
+    members = rec.get("members")
+    return (
+        isinstance(members, list)
+        and all(isinstance(x, str) for x in members)
+        and _is_int(rec.get("budget"))
+        and _is_int(rec.get("min_utility", 0))
+    )
+
+
+def _group(i: int, rec) -> Group:
+    rec = _as_dict(rec, f"groups[{i}]")
+    _require(
+        {"id", "members", "budget"} <= set(rec) <= _GROUP_KEYS,
+        f"groups[{i}] must have id, members, budget, and optionally min_utility",
+    )
+    members = _as_list(rec["members"], f"groups[{i}].members")
+    return Group(
+        id=_as_str(rec["id"], f"groups[{i}].id"),
+        members=frozenset(_as_str(x, f"groups[{i}].members[{j}]") for j, x in enumerate(members)),
+        budget=_as_int(rec["budget"], f"groups[{i}].budget"),
+        min_utility=_as_int(rec.get("min_utility", 0), f"groups[{i}].min_utility"),
+    )
 
 
 def parse_instance(text: str | bytes) -> Instance:
@@ -79,26 +148,17 @@ def parse_instance(text: str | bytes) -> Instance:
 
     project_records = _as_list(top["projects"], "projects")
     _require(len(project_records) > 0, "projects must be non-empty")
-    projects = []
-    for i, rec in enumerate(project_records):
-        rec = _as_dict(rec, f"projects[{i}]")
-        _require(set(rec) == {"id", "cost"}, f"projects[{i}] must have exactly id and cost")
-        projects.append(
-            Project(id=_as_str(rec["id"], f"projects[{i}].id"), cost=_as_int(rec["cost"], f"projects[{i}].cost"))
-        )
+    projects = [
+        Project(id=rec["id"], cost=rec["cost"]) if _is_project(rec) else _project(i, rec)
+        for i, rec in enumerate(project_records)
+    ]
 
     voters = []
     if has_voters:
-        for i, rec in enumerate(_as_list(top["voters"], "voters")):
-            rec = _as_dict(rec, f"voters[{i}]")
-            _require(set(rec) == {"id", "approves"}, f"voters[{i}] must have exactly id and approves")
-            approves = _as_list(rec["approves"], f"voters[{i}].approves")
-            voters.append(
-                Voter(
-                    id=_as_str(rec["id"], f"voters[{i}].id"),
-                    approves=frozenset(_as_str(a, f"voters[{i}].approves[{j}]") for j, a in enumerate(approves)),
-                )
-            )
+        voters = [
+            Voter(id=rec["id"], approves=frozenset(rec["approves"])) if _is_voter(rec) else _voter(i, rec)
+            for i, rec in enumerate(_as_list(top["voters"], "voters"))
+        ]
     else:
         scores = _as_dict(top["scores"], "scores")
         for pid in sorted(scores):
@@ -107,22 +167,17 @@ def parse_instance(text: str | bytes) -> Instance:
             for k in range(1, count + 1):
                 voters.append(Voter(id=f"{pid}__s{k}", approves=frozenset({pid})))
 
-    groups = []
-    for i, rec in enumerate(_as_list(top["groups"], "groups")):
-        rec = _as_dict(rec, f"groups[{i}]")
-        _require(
-            {"id", "members", "budget"} <= set(rec) <= {"id", "members", "budget", "min_utility"},
-            f"groups[{i}] must have id, members, budget, and optionally min_utility",
+    groups = [
+        Group(
+            id=rec["id"],
+            members=frozenset(rec["members"]),
+            budget=rec["budget"],
+            min_utility=rec.get("min_utility", 0),
         )
-        members = _as_list(rec["members"], f"groups[{i}].members")
-        groups.append(
-            Group(
-                id=_as_str(rec["id"], f"groups[{i}].id"),
-                members=frozenset(_as_str(x, f"groups[{i}].members[{j}]") for j, x in enumerate(members)),
-                budget=_as_int(rec["budget"], f"groups[{i}].budget"),
-                min_utility=_as_int(rec.get("min_utility", 0), f"groups[{i}].min_utility"),
-            )
-        )
+        if _is_group(rec)
+        else _group(i, rec)
+        for i, rec in enumerate(_as_list(top["groups"], "groups"))
+    ]
 
     return validate_instance(
         Instance(budget=budget, projects=tuple(projects), voters=tuple(voters), groups=tuple(groups))

@@ -20,11 +20,9 @@ utility at least a target reads the target's cell of ``at_least``.
 A fold adds a single project by ``add_item``, one candidate per cell, and
 convolves two folds of several projects by ``combine``.
 
-When only the optimum is wanted, ``prune`` erases the weakly dominated
-cells, those that some higher utility reaches at no more cost, and keeps
-the list's length.  An undominated cell of a combine is made of undominated
-cells, so a fold that prunes every combine holds exactly the undominated
-cells of the full fold, the optimum among them.
+When only the optimum is wanted, hier keeps each fold as its Pareto
+frontier instead, the list of its undominated cells; hiersolve holds
+those steps, since every solve loads this module and only hier runs them.
 """
 
 from __future__ import annotations
@@ -105,19 +103,6 @@ def cut(profile: list[Cell], budget: int) -> None:
     for z, cell in enumerate(profile):
         if cell is not None and cell[0] > budget:
             profile[z] = None
-
-
-def prune(profile: list[Cell]) -> None:
-    """Erase, in place, every cell that a higher utility reaches at no more cost."""
-    least = None  # the cheapest cost above z
-    for z in range(len(profile) - 1, -1, -1):
-        cell = profile[z]
-        if cell is None:
-            continue
-        if least is not None and cell[0] >= least:
-            profile[z] = None
-        else:
-            least = cell[0]
 
 
 def at_least(profile: list[Cell]) -> list[Cell]:

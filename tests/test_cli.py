@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import itertools
 import json
@@ -25,7 +26,7 @@ from grouppb import (
     solve_bruteforce,
     validate_instance,
 )
-from grouppb.cli import _decision_bundle, build_parser, main
+from grouppb.cli import SUBCOMMANDS, _decision_bundle, build_parser, main, run
 from grouppb.typesolve import DEFAULT_NODE_CAP
 
 from conftest import raw_instances
@@ -217,6 +218,13 @@ def test_malformed_epsilon_is_a_usage_error(capsys):
         main(["solve", DISTRICT, "--epsilon", "abc"])
     assert exc.value.code == 2
     assert "argument --epsilon: invalid Fraction value: 'abc'" in capsys.readouterr().err
+
+
+def test_a_zero_denominator_epsilon_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", DISTRICT, "--epsilon", "1/0"])
+    assert exc.value.code == 2
+    assert "argument --epsilon: invalid Fraction value: '1/0'" in capsys.readouterr().err
 
 
 def test_solve_reports_deletion_info(capsys):
@@ -681,6 +689,81 @@ def test_solve_and_analyze_options_are_pinned():
         "--node-cap", "--cell-cap", "--depth-cap",
     }
     assert _options("analyze") == {"-h", "--help", "--depth-cap", "-o", "--output"}
+
+
+HELP = """\
+usage: grouppb [-h] [--version] {solve,check,analyze,gen,export-milp} ...
+
+Solvers for approval budgeting with overlapping group budgets.
+
+positional arguments:
+  {solve,check,analyze,gen,export-milp}
+    solve               maximize utility on an instance file
+    check               test a bundle against all budgets
+    analyze             report structure of the group family
+    gen                 generate an instance file
+    export-milp         write the integer program in LP format
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+BOGUS = """\
+usage: grouppb [-h] [--version] {solve,check,analyze,gen,export-milp} ...
+grouppb: error: argument command: invalid choice: 'bogus' (choose from 'solve', 'check', 'analyze', 'gen', 'export-milp')
+"""
+
+SOLVE_USAGE = """\
+usage: grouppb solve [-h]
+                     [--algo {auto,bruteforce,hier,bnb,group-del,proj-del,types,dimdp,lp-round,fptas-g}]
+                     [--epsilon EPSILON] [--decision-u DECISION_U] [--profile]
+                     [-o OUTPUT] [--node-cap NODE_CAP] [--cell-cap CELL_CAP]
+                     [--depth-cap DEPTH_CAP]
+                     instance
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["--help"], 0, HELP, ""),
+        (["bogus"], 2, "", BOGUS),
+        (["solve", "--bogus"], 2, "", SOLVE_USAGE + "grouppb solve: error: the following arguments are required: instance\n"),
+    ],
+)
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    # A solve builds only its own subcommand's arguments; what the other
+    # subcommands' help lines and the usage errors print stays the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_each_command_builds_only_its_own_arguments():
+    for command in SUBCOMMANDS:
+        parser = build_parser(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        built = {name for name, p in sub.choices.items() if len(p._actions) > 1}  # more than -h
+        assert built == {command}
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Only the console entry point, run, freezes the heap before the exit.
+    assert main(["solve", DISTRICT]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_freezes_the_heap_after_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["grouppb", "solve", DISTRICT])
+    try:
+        assert run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out)["utility"] == 4
 
 
 def test_missing_subcommand_is_an_argparse_error(capsys):

@@ -65,6 +65,48 @@ def test_schema_violations(mutation):
         parse_instance(mutation)
 
 
+@pytest.mark.parametrize(
+    "voter,message",
+    [
+        ('"v"', "voters[1] must be an object"),
+        ('{"id": "v", "approves": [], "x": 1}', "voters[1] must have exactly id and approves"),
+        ('{"id": 7, "approves": []}', "voters[1].id must be a string"),
+        ('{"id": "v", "approves": "p"}', "voters[1].approves must be an array"),
+        ('{"id": "v", "approves": ["p", 3]}', "voters[1].approves[1] must be a string"),
+    ],
+)
+def test_voter_schema_messages(voter, message):
+    # The second voter is the bad one; the first is well formed.
+    text = (
+        '{"budget": 1, "projects": [{"id": "p", "cost": 1}], "groups": [],'
+        f' "voters": [{{"id": "u", "approves": ["p"]}}, {voter}]}}'
+    )
+    with pytest.raises(SchemaError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "project,group,message",
+    [
+        ('{"id": "q"}', None, "projects[1] must have exactly id and cost"),
+        ('{"id": "q", "cost": true}', None, "projects[1].cost must be an integer"),
+        (None, '[]', "groups[1] must be an object"),
+        (None, '{"id": "G", "members": ["p"]}', "groups[1] must have id, members, budget, and optionally min_utility"),
+        (None, '{"id": "G", "members": ["p", 1], "budget": 1}', "groups[1].members[1] must be a string"),
+        (None, '{"id": "G", "members": [], "budget": 1.5}', "groups[1].budget must be an integer"),
+        (None, '{"id": "G", "members": [], "budget": 1, "min_utility": false}', "groups[1].min_utility must be an integer"),
+    ],
+)
+def test_project_and_group_schema_messages(project, group, message):
+    projects = '{"id": "p", "cost": 1}' + ("" if project is None else f", {project}")
+    groups = '{"id": "F", "members": ["p"], "budget": 1}' + ("" if group is None else f", {group}")
+    text = f'{{"budget": 1, "projects": [{projects}], "groups": [{groups}], "voters": []}}'
+    with pytest.raises(SchemaError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 def test_semantic_defects_raise_invalid_instance():
     text = '{"budget": 1, "projects": [{"id": "p", "cost": 1}], "groups": [{"id": "F", "members": ["zzz"], "budget": 1}], "voters": []}'
     with pytest.raises(InvalidInstance):

@@ -161,6 +161,68 @@ def test_frontier_fold_keeps_the_witness_and_stats(inst, unit):
     assert frontier.stats == full.stats
 
 
+@st.composite
+def root_heavy_instances(draw):
+    """Laminar instances whose root holds most projects, with ties everywhere.
+
+    A few projects sit in a group and a nested subgroup; the rest are the
+    root's own.  Costs are mostly 1 with some 0 and 2, scores one value with
+    a few zeros and a few one higher, and every budget is a third of its
+    projects' cost, so the root's knapsack binds and bound values tie.
+    """
+    m = draw(st.integers(1, 20))
+    ids = [f"p{i:02d}" for i in range(m)]
+    cost = dict(zip(ids, draw(st.lists(st.sampled_from([0, 1, 1, 1, 2]), min_size=m, max_size=m))))
+    base = draw(st.integers(1, 2))
+    score = dict(zip(ids, draw(st.lists(st.sampled_from([0, base, base, base + 1]), min_size=m, max_size=m))))
+    order = draw(st.permutations(ids))
+    grouped = order[: draw(st.integers(0, m // 3))]
+    member_sets = [grouped, grouped[: len(grouped) // 2]] if len(grouped) > 1 else [grouped]
+    return validate_instance(
+        Instance(
+            budget=sum(cost.values()) // 3,
+            projects=tuple(Project(id=pid, cost=cost[pid]) for pid in ids),
+            # Voter k approves every project of score k or more.
+            voters=tuple(
+                Voter(id=f"v{k}", approves=frozenset(pid for pid in ids if score[pid] >= k))
+                for k in range(1, base + 2)
+            ),
+            groups=tuple(
+                Group(id=f"F{k}", members=frozenset(members), budget=sum(cost[p] for p in members) // 3)
+                for k, members in enumerate(member_sets)
+                if members
+            ),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_heavy_instances())
+def test_root_bound_keeps_the_witness_and_stats(inst):
+    full, frontier = solve_hier(inst), solve_hier(inst, profile=False)
+    assert frontier.bundle == full.bundle == solve_bruteforce(inst).witness
+    assert frontier.stats == full.stats
+
+
+@pytest.mark.parametrize(
+    "shape,m,g,seed",
+    [("laminar", 100, 25, 1), ("partition", 150, 1, 2), ("laminar", 200, 8, 3), ("partition", 300, 3, 4)],
+)
+@pytest.mark.parametrize("unit", [False, True])
+def test_frontier_fold_matches_the_full_profile_at_size(shape, m, g, seed, unit):
+    # A partition of g blocks leaves about m / (g + 1) projects to the root.
+    inst = gen_random(
+        GenParams(
+            m=m, n=m, g=g, seed=seed, cost_lo=int(not unit), cost_hi=1 if unit else 5,
+            family_shape=shape, budget_fraction=Fraction(1, 3),
+        )
+    )
+    for inst in (inst, normalize(inst)[0]):
+        full, frontier = solve_hier(inst), solve_hier(inst, profile=False)
+        assert frontier.bundle == full.bundle
+        assert frontier.stats == full.stats
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 10**9),

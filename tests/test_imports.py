@@ -100,9 +100,15 @@ def test_a_bnb_solve_loads_no_other_solver(tmp_path):
     assert _unneeded(modules) == set()
 
 
-def test_neither_the_cli_nor_a_laminar_solve_loads_fractions():
+def test_neither_the_cli_nor_a_laminar_solve_loads_fractions(tmp_path):
+    # Two projects outside every group make the root's knapsack order them.
+    data = json.loads(LAMINAR.read_text(encoding="utf-8"))
+    data["projects"] += [{"id": "p5", "cost": 1}, {"id": "p6", "cost": 3}]
+    data["voters"].append({"id": "v3", "approves": ["p5", "p6"]})
+    root_heavy = tmp_path / "root_heavy.json"
+    root_heavy.write_text(json.dumps(data), encoding="utf-8")
     imported, _ = _run(f"import grouppb.cli; {BARE}")
-    solved, out = _run(SOLVE, "solve", str(LAMINAR))
+    solved, out = _run(SOLVE, "solve", str(root_heavy))
     assert json.loads(out)["algorithm"] == "hier"
     assert _unneeded(imported | solved, FRACTIONS) == set()
 

@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+from grouppb.hiersolve import frontier_add, frontier_combine
 from grouppb.profile import (
     add_item,
     at_least,
@@ -72,3 +73,34 @@ _cells = st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 31)))
 def test_add_item_is_combine_with_one_item(left, score, cost, bit):
     left = [None if cell is None else (cell[0], cell[1] & ~bit) for cell in left]
     assert add_item(left, score, cost, bit) == combine(left, item(score, cost, bit))
+
+
+def _frontier(cells: list, cap: int) -> list:
+    """The undominated cells of a profile that cost at most cap, ascending in z."""
+    out = []
+    for z in range(len(cells) - 1, -1, -1):
+        cell = cells[z]
+        if cell is not None and cell[0] <= cap and (not out or cell[0] < out[-1][1]):
+            out.append((z, *cell))
+    return out[::-1]
+
+
+# Every fold holds the empty bundle at utility 0.
+_folds = st.lists(_cells, min_size=0, max_size=8).map(lambda cells: [(0, 0)] + cells)
+
+
+@given(_folds, st.integers(0, 4), st.integers(0, 3), st.sampled_from([1, 2, 4, 8, 16]), st.integers(0, 8))
+def test_frontier_add_is_the_frontier_of_add_item(left, score, cost, bit, cap):
+    left = [None if cell is None else (cell[0], cell[1] & ~bit) for cell in left]
+    assert frontier_add(_frontier(left, cap), score, cost, bit, cap) == _frontier(
+        add_item(left, score, cost, bit), cap
+    )
+
+
+@given(_folds, _folds, st.integers(0, 8))
+def test_frontier_combine_is_the_frontier_of_combine(left, right, cap):
+    # Disjoint projects: left's bits are the low five, right's the next five.
+    right = [None if cell is None else (cell[0], cell[1] << 5) for cell in right]
+    assert frontier_combine(_frontier(left, cap), _frontier(right, cap), cap) == _frontier(
+        combine(left, right), cap
+    )
