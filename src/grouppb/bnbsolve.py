@@ -29,7 +29,7 @@ by profile.before on rank masks, so the witness is the canonical one.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cmp_to_key
 from operator import itemgetter
 
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     SolveStats,
     approval_scores,
     bundle_of,
+    by_efficiency,
     individually_feasible,
     require_no_utility_floors,
     type_index,
@@ -48,17 +49,15 @@ from .lp import lp_relaxation, simplex_solve
 from .profile import before, rank_bits
 
 
-def _by_efficiency(items: list[tuple], weight_of) -> list[list[tuple]]:
+_efficiency = cmp_to_key(by_efficiency)
+
+
+def _suffixes_by_efficiency(items: list[tuple], weight_of) -> list[list[tuple]]:
     """Per depth d, the items at branch positions d or later, by efficiency.
 
     The most key per unit of weight comes first, weightless items before all.
     """
-
-    def efficiency(item):
-        weight = weight_of(item)
-        return (0, 0) if weight == 0 else (1, -Fraction(item[1], weight))
-
-    ranked = sorted(items, key=efficiency)
+    ranked = sorted(items, key=lambda item: _efficiency((item[1], weight_of(item))))
     return [[it for it in ranked if it[0] >= d] for d in range(len(items) + 1)]
 
 
@@ -102,13 +101,13 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
         range(len(free)),
         key=lambda j: (
             -lp_value[free[j]],
-            (0, 0) if facts[j][3] == 0 else (1, -Fraction(facts[j][0], facts[j][3])),
+            _efficiency((facts[j][0], facts[j][3])),
             free[j],
         ),
     )
     items = [(d, *facts[j]) for d, j in enumerate(order)]
-    by_surrogate = _by_efficiency(items, lambda it: it[4])
-    by_cost = _by_efficiency(items, lambda it: it[2])
+    by_surrogate = _suffixes_by_efficiency(items, lambda it: it[4])
+    by_cost = _suffixes_by_efficiency(items, lambda it: it[2])
 
     res = [f.budget for f in groups] + [inst.budget]
     surrogate_room = sum(w * r for w, r in zip(weights, res))

@@ -175,9 +175,14 @@ def _auto_plan(inst: Instance, args, decision: bool) -> list[tuple[str, str]]:
 
 
 def _run_solver(inst: Instance, algo: str, args):
-    """Dispatch to one solver; returns (outcome, deletion-info or None)."""
+    """Dispatch to one solver; returns (outcome or None, deletion-info or None).
+
+    The outcome is None when no bundle is feasible: utility floors that no
+    bundle meets, which only bruteforce honors.
+    """
     if algo == "bruteforce":
-        return _loaded("solve_bruteforce")(inst).to_outcome(), None
+        result = _loaded("solve_bruteforce")(inst)
+        return (None if result.witness is None else result.to_outcome()), None
     if algo == "hier":
         return _loaded("solve_hier")(inst, profile=args.profile), None
     if algo == "bnb":
@@ -267,6 +272,9 @@ def cmd_solve(args) -> int:
         _emit_json(payload, args.output)
         return EXIT_OK if witness is not None else EXIT_NEGATIVE
 
+    if outcome is None:
+        print("error: no feasible bundle", file=sys.stderr)
+        return EXIT_NEGATIVE
     outcome.stats.wall_time_s = elapsed
     payload = _outcome_json(outcome, args.profile)
     if deletion_info is not None:

@@ -293,6 +293,16 @@ def individually_feasible(inst: Instance) -> tuple[str, ...]:
     return tuple(out)
 
 
+def by_efficiency(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Order (value, weight) pairs by value per unit of weight, highest first.
+
+    A comparator for functools.cmp_to_key, exact in integers by
+    cross-multiplying.  For positive values a weightless pair comes before
+    every weighted one, and two weightless pairs tie.
+    """
+    return a[1] * b[0] - a[0] * b[1]
+
+
 def derived_stats(inst: Instance) -> DerivedStats:
     total = sum(approval_scores(inst).values())
     return DerivedStats(

@@ -25,11 +25,10 @@ from .core import Group, Instance, Project, Voter, validate_instance
 from .errors import ParseError, SchemaError
 
 _TOP_KEYS = {"budget", "projects", "voters", "scores", "groups"}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+_PROJECT_KEYS = {"id", "cost"}
+_VOTER_KEYS = {"id", "approves"}
+_GROUP_KEYS = {"id", "members", "budget", "min_utility"}
+_GROUP_REQUIRED = {"id", "members", "budget"}
 
 
 def _is_int(value) -> bool:
@@ -37,88 +36,79 @@ def _is_int(value) -> bool:
 
 
 def _as_int(value, where: str) -> int:
-    _require(_is_int(value), f"{where} must be an integer")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    _require(isinstance(value, str), f"{where} must be a string")
+    if not _is_int(value):
+        raise SchemaError(f"{where} must be an integer")
     return value
 
 
 def _as_list(value, where: str) -> list:
-    _require(isinstance(value, list), f"{where} must be an array")
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be an array")
     return value
 
 
 def _as_dict(value, where: str) -> dict:
-    _require(isinstance(value, dict), f"{where} must be an object")
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
     return value
 
 
-# Each record kind has a shape test and a slow path.  The test passes exactly
-# when the record is well formed, so a valid file builds no message; the slow
-# path checks the record field by field and raises the first problem's
-# SchemaError.
+# One function per record kind checks its fields in a fixed order and builds
+# its value.  The first check that fails raises a SchemaError naming the
+# field, so a record with several faults reports the first in that order, and
+# a message is formatted only then: a valid file formats none.
 
 
-def _is_project(rec) -> bool:
-    return (
-        isinstance(rec, dict) and len(rec) == 2 and isinstance(rec.get("id"), str) and _is_int(rec.get("cost"))
-    )
+def _ids(values: list, kind: str, i: int, field: str) -> frozenset[str]:
+    """The strings of a record's id array, or the error naming the first that is not one."""
+    for j, value in enumerate(values):
+        if not isinstance(value, str):
+            raise SchemaError(f"{kind}[{i}].{field}[{j}] must be a string")
+    return frozenset(values)
 
 
 def _project(i: int, rec) -> Project:
-    rec = _as_dict(rec, f"projects[{i}]")
-    _require(set(rec) == {"id", "cost"}, f"projects[{i}] must have exactly id and cost")
-    return Project(id=_as_str(rec["id"], f"projects[{i}].id"), cost=_as_int(rec["cost"], f"projects[{i}].cost"))
-
-
-def _is_voter(rec) -> bool:
-    if not (isinstance(rec, dict) and len(rec) == 2 and isinstance(rec.get("id"), str)):
-        return False
-    approves = rec.get("approves")
-    return isinstance(approves, list) and all(isinstance(a, str) for a in approves)
+    if not isinstance(rec, dict):
+        raise SchemaError(f"projects[{i}] must be an object")
+    if rec.keys() != _PROJECT_KEYS:
+        raise SchemaError(f"projects[{i}] must have exactly id and cost")
+    pid, cost = rec["id"], rec["cost"]
+    if not isinstance(pid, str):
+        raise SchemaError(f"projects[{i}].id must be a string")
+    if not _is_int(cost):
+        raise SchemaError(f"projects[{i}].cost must be an integer")
+    return Project(id=pid, cost=cost)
 
 
 def _voter(i: int, rec) -> Voter:
-    rec = _as_dict(rec, f"voters[{i}]")
-    _require(set(rec) == {"id", "approves"}, f"voters[{i}] must have exactly id and approves")
-    approves = _as_list(rec["approves"], f"voters[{i}].approves")
-    return Voter(
-        id=_as_str(rec["id"], f"voters[{i}].id"),
-        approves=frozenset(_as_str(a, f"voters[{i}].approves[{j}]") for j, a in enumerate(approves)),
-    )
-
-
-_GROUP_KEYS = {"id", "members", "budget", "min_utility"}
-
-
-def _is_group(rec) -> bool:
-    if not (isinstance(rec, dict) and rec.keys() <= _GROUP_KEYS and isinstance(rec.get("id"), str)):
-        return False
-    members = rec.get("members")
-    return (
-        isinstance(members, list)
-        and all(isinstance(x, str) for x in members)
-        and _is_int(rec.get("budget"))
-        and _is_int(rec.get("min_utility", 0))
-    )
+    if not isinstance(rec, dict):
+        raise SchemaError(f"voters[{i}] must be an object")
+    if rec.keys() != _VOTER_KEYS:
+        raise SchemaError(f"voters[{i}] must have exactly id and approves")
+    vid, approves = rec["id"], rec["approves"]
+    if not isinstance(approves, list):
+        raise SchemaError(f"voters[{i}].approves must be an array")
+    if not isinstance(vid, str):
+        raise SchemaError(f"voters[{i}].id must be a string")
+    return Voter(id=vid, approves=_ids(approves, "voters", i, "approves"))
 
 
 def _group(i: int, rec) -> Group:
-    rec = _as_dict(rec, f"groups[{i}]")
-    _require(
-        {"id", "members", "budget"} <= set(rec) <= _GROUP_KEYS,
-        f"groups[{i}] must have id, members, budget, and optionally min_utility",
-    )
-    members = _as_list(rec["members"], f"groups[{i}].members")
-    return Group(
-        id=_as_str(rec["id"], f"groups[{i}].id"),
-        members=frozenset(_as_str(x, f"groups[{i}].members[{j}]") for j, x in enumerate(members)),
-        budget=_as_int(rec["budget"], f"groups[{i}].budget"),
-        min_utility=_as_int(rec.get("min_utility", 0), f"groups[{i}].min_utility"),
-    )
+    if not isinstance(rec, dict):
+        raise SchemaError(f"groups[{i}] must be an object")
+    if not _GROUP_REQUIRED <= rec.keys() <= _GROUP_KEYS:
+        raise SchemaError(f"groups[{i}] must have id, members, budget, and optionally min_utility")
+    gid, members, budget, floor = rec["id"], rec["members"], rec["budget"], rec.get("min_utility", 0)
+    if not isinstance(members, list):
+        raise SchemaError(f"groups[{i}].members must be an array")
+    if not isinstance(gid, str):
+        raise SchemaError(f"groups[{i}].id must be a string")
+    members = _ids(members, "groups", i, "members")
+    if not _is_int(budget):
+        raise SchemaError(f"groups[{i}].budget must be an integer")
+    if not _is_int(floor):
+        raise SchemaError(f"groups[{i}].min_utility must be an integer")
+    return Group(id=gid, members=members, budget=budget, min_utility=floor)
 
 
 def parse_instance(text: str | bytes) -> Instance:
@@ -136,48 +126,35 @@ def parse_instance(text: str | bytes) -> Instance:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
 
     top = _as_dict(raw, "instance")
-    unknown = set(top) - _TOP_KEYS
-    _require(not unknown, f"unknown keys: {', '.join(sorted(unknown))}")
+    unknown = top.keys() - _TOP_KEYS
+    if unknown:
+        raise SchemaError(f"unknown keys: {', '.join(sorted(unknown))}")
     for key in ("budget", "projects", "groups"):
-        _require(key in top, f"missing required key {key!r}")
-    has_voters = "voters" in top
-    has_scores = "scores" in top
-    _require(has_voters != has_scores, 'exactly one of "voters" or "scores" is required')
+        if key not in top:
+            raise SchemaError(f"missing required key {key!r}")
+    if ("voters" in top) == ("scores" in top):
+        raise SchemaError('exactly one of "voters" or "scores" is required')
 
     budget = _as_int(top["budget"], "budget")
-
     project_records = _as_list(top["projects"], "projects")
-    _require(len(project_records) > 0, "projects must be non-empty")
-    projects = [
-        Project(id=rec["id"], cost=rec["cost"]) if _is_project(rec) else _project(i, rec)
-        for i, rec in enumerate(project_records)
-    ]
+    if not project_records:
+        raise SchemaError("projects must be non-empty")
+    projects = [_project(i, rec) for i, rec in enumerate(project_records)]
 
-    voters = []
-    if has_voters:
-        voters = [
-            Voter(id=rec["id"], approves=frozenset(rec["approves"])) if _is_voter(rec) else _voter(i, rec)
-            for i, rec in enumerate(_as_list(top["voters"], "voters"))
-        ]
+    if "voters" in top:
+        voters = [_voter(i, rec) for i, rec in enumerate(_as_list(top["voters"], "voters"))]
     else:
+        voters = []
         scores = _as_dict(top["scores"], "scores")
         for pid in sorted(scores):
-            count = _as_int(scores[pid], f"scores[{pid}]")
-            _require(count >= 0, f"scores[{pid}] must be non-negative")
-            for k in range(1, count + 1):
-                voters.append(Voter(id=f"{pid}__s{k}", approves=frozenset({pid})))
+            count = scores[pid]
+            if not _is_int(count):
+                raise SchemaError(f"scores[{pid}] must be an integer")
+            if count < 0:
+                raise SchemaError(f"scores[{pid}] must be non-negative")
+            voters.extend(Voter(id=f"{pid}__s{k}", approves=frozenset({pid})) for k in range(1, count + 1))
 
-    groups = [
-        Group(
-            id=rec["id"],
-            members=frozenset(rec["members"]),
-            budget=rec["budget"],
-            min_utility=rec.get("min_utility", 0),
-        )
-        if _is_group(rec)
-        else _group(i, rec)
-        for i, rec in enumerate(_as_list(top["groups"], "groups"))
-    ]
+    groups = [_group(i, rec) for i, rec in enumerate(_as_list(top["groups"], "groups"))]
 
     return validate_instance(
         Instance(budget=budget, projects=tuple(projects), voters=tuple(voters), groups=tuple(groups))

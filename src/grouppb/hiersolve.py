@@ -31,6 +31,7 @@ from .core import (
     SolveStats,
     UtilityCostProfile,
     approval_scores,
+    by_efficiency,
     is_hierarchical,
     laminar_forest,
     require_no_utility_floors,
@@ -199,11 +200,6 @@ def _root_bound(items: list[tuple[int, int]], budget: int):
     return trim
 
 
-def _by_efficiency(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Order (score, cost) pairs by score per cost, highest first, exactly."""
-    return a[1] * b[0] - a[0] * b[1]
-
-
 def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
     """Optimum bundle and, with profile, the full per-utility cost profile.
 
@@ -234,7 +230,7 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
     # The root's own projects come after its child groups, most score per cost
     # first, and those of no score last; the fold's order changes no cell.
     groups = [child for child in root.children if child.project is None]
-    efficiency = cmp_to_key(_by_efficiency)
+    efficiency = cmp_to_key(by_efficiency)
     leaves = sorted(
         (child for child in root.children if child.project is not None),
         key=lambda leaf: (not scores[leaf.project], efficiency((scores[leaf.project], leaf.budget))),

@@ -311,6 +311,17 @@ def test_decision_with_an_unmeetable_floor_is_unsatisfiable(capsys, tmp_path, ta
     assert payload["decision"] == {"satisfiable": False, "target": target}
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--profile"], ["--algo", "bruteforce"], ["--algo", "bruteforce", "--profile"]]
+)
+def test_solve_with_an_unmeetable_floor_is_a_negative_answer(capsys, tmp_path, extra):
+    path = write_instance(tmp_path, floor_instance(3), "floors.json")
+    code, out, err = run_cli(capsys, "solve", path, *extra)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == "error: no feasible bundle"
+
+
 def _cheapest_reaching(inst, target):
     """The cheapest feasible bundle of utility at least target, ties by sorted ids."""
     ids = sorted(p.id for p in inst.projects)
