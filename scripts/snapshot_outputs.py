@@ -28,6 +28,8 @@ RUNS = (
     ["solve", "--algo", "types"],
     ["solve", "--algo", "fptas-g"],
     ["solve", "--algo", "dimdp"],
+    ["solve", "--algo", "proj-del", "--node-cap", "4096"],
+    ["solve", "--algo", "group-del", "--node-cap", "4096"],
     ["analyze"],
 )
 

@@ -285,7 +285,11 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _load_instance(args.instance)
-    raw = json.loads(_read_text(args.bundle))
+    try:
+        raw = json.loads(_read_text(args.bundle))
+    except RecursionError:
+        print("error: invalid JSON: nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     if isinstance(raw, dict) and "ids" in raw:
         raw = raw["ids"]
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):

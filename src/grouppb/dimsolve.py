@@ -45,7 +45,7 @@ from .core import (
     bundle_of,
     individually_feasible,
     require_no_utility_floors,
-    table_cells,  # re-exported: tests and scripts read it here
+    table_cells,
     type_index,
 )
 from .errors import TableTooLarge

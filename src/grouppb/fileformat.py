@@ -114,16 +114,19 @@ def _group(i: int, rec) -> Group:
 def parse_instance(text: str | bytes) -> Instance:
     """Parse and validate instance JSON, returning a canonical Instance.
 
-    Raises ParseError for malformed JSON (with line and column), SchemaError
+    Raises ParseError for bytes that are not UTF-8 and for malformed JSON
+    (with line and column) or JSON nested too deeply to read, SchemaError
     for shape problems, and InvalidInstance for semantic defects such as
     dangling references.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
     top = _as_dict(raw, "instance")
     unknown = top.keys() - _TOP_KEYS

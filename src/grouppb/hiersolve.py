@@ -1,22 +1,22 @@
 """Polynomial solver for hierarchical (laminar) group families.
 
-The family is arranged into a tree: a wrapper root carries the global budget,
-each group hangs under its minimal strict superset, and every project not
-covered by a deeper group becomes a synthetic leaf whose budget is its own
-cost.  Each node then gets a per-utility cost profile: the cheapest bundle of
-its subtree achieving each exact utility.  A leaf joins its parent's fold
-by profile.add_item, one candidate per cell, a child group by min-plus
-convolution (profile.combine), and the node's budget erases entries it
-cannot afford.  The root profile answers every question at once: the
-optimum is its highest reachable utility, and the cheapest bundle reaching
-a target is the target's cell of its suffix minima (profile.at_least).
-When only the optimum is asked for, every fold is its Pareto frontier, the
-list of its undominated cells within the node's cap (frontier_add,
-frontier_combine), which is all the optimum needs and a small part of the
-full profile; the root's own projects, folded last, also drop the
-cells that the Dantzig bound shows cannot reach a greedy utility.  The
-hierarchy test and the containment forest come from core, so a laminar
-solve loads no other solver module.
+Nesting makes the groups a forest, core.laminar_forest's (parents, owner):
+each group hangs under its minimal strict superset or the root, and each
+project belongs to its smallest group or to the root, which carries the
+global budget.  Each group gets a per-utility cost profile, the cheapest
+bundle of its members achieving each exact utility, smallest group first:
+its subgroups' profiles join its fold by min-plus convolution
+(profile.combine), its own projects by profile.add_item, one candidate per
+cell, and its budget erases entries it cannot afford.  The root folds last.
+Its profile answers every question at once: the optimum is its highest
+reachable utility, and the cheapest bundle reaching a target is the
+target's cell of its suffix minima (profile.at_least).  When only the
+optimum is asked for, every fold is its Pareto frontier, the list of its
+undominated cells within the group's cap (frontier_add, frontier_combine),
+which is all the optimum needs and a small part of the full profile; the
+root's own projects, folded last, also drop the cells that the Dantzig
+bound shows cannot reach a greedy utility.  The hierarchy test and the
+forest come from core, so a laminar solve loads no other solver module.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     laminar_forest,
     require_no_utility_floors,
 )
-from .errors import NotHierarchical, Value
+from .errors import NotHierarchical
 from .profile import Cell, add_item, before, combine, cut, decode, rank_bits, with_idle
 
 # A Pareto frontier: the live (z, cost, mask) cells of a fold, ascending in z,
@@ -50,49 +50,16 @@ from .profile import Cell, add_item, before, combine, cut, decode, rank_bits, wi
 Frontier = list[tuple[int, int, int]]
 
 
-class HierNode(Value):
-    """Tree node: a real group, the wrapper root, or a single-project leaf."""
+def build_hier_tree(inst: Instance) -> tuple[dict[str, str | None], dict[str, str]]:
+    """core.laminar_forest's (parents, owner), supersets first, for a hierarchical family.
 
-    label: str | None  # group id; None for the root wrapper and for leaves
-    project: str | None  # set exactly on leaves
-    budget: int
-    children: tuple["HierNode", ...]
-
-
-def build_hier_tree(inst: Instance) -> HierNode:
-    """The root of the budget tree described above, for a hierarchical family.
-
-    A node's children are its child groups in id order, then its uncovered
-    projects in id order.  Empty groups impose nothing on any bundle and are
-    left out.  Raises NotHierarchical when some pair of groups overlaps
-    without nesting (which includes duplicate member sets; normalize first).
-    The tree is built smallest group first, so no nesting depth recurses.
+    Empty groups impose nothing on any bundle and are left out.  Raises
+    NotHierarchical when some pair of groups overlaps without nesting (which
+    includes duplicate member sets; normalize first).
     """
     if not is_hierarchical(inst.groups):
         raise NotHierarchical("the group family has conflicting overlaps")
-    parents, owner = laminar_forest(inst.groups)
-    budget = {f.id: f.budget for f in inst.groups}
-    cost = {p.id: p.cost for p in inst.projects}
-    groups_under: dict[str | None, list[str]] = {}
-    for gid in sorted(parents):
-        groups_under.setdefault(parents[gid], []).append(gid)
-    projects_under: dict[str | None, list[str]] = {}
-    for pid in sorted(cost):
-        projects_under.setdefault(owner.get(pid), []).append(pid)
-
-    built: dict[str, HierNode] = {}
-
-    def node(label: str | None, limit: int) -> HierNode:
-        groups = tuple(built.pop(gid) for gid in groups_under.get(label, ()))
-        leaves = tuple(
-            HierNode(label=None, project=pid, budget=cost[pid], children=())
-            for pid in projects_under.get(label, ())
-        )
-        return HierNode(label=label, project=None, budget=limit, children=groups + leaves)
-
-    for gid in reversed(parents):  # laminar_forest lists supersets first
-        built[gid] = node(gid, budget[gid])
-    return node(None, inst.budget)
+    return laminar_forest(inst.groups)
 
 
 def frontier_add(front: Frontier, score: int, cost: int, bit: int, cap: int) -> Frontier:
@@ -205,54 +172,43 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
 
     The utility axis runs to the total approval score and every entry is
     exact.  With profile False, each fold is the Pareto frontier of its
-    cells (frontier_add, frontier_combine) within the node's cap, the
-    smallest budget from the node to the root, the root's own projects,
-    folded last, go through the bound test of _root_bound, and the
-    outcome's profile is None.  The bundle is the same.  In every fold the
-    canonical optimum passes through, its part is the fold's cell of that
-    utility, by the non-nesting argument of profile.before.  Were that cell
-    dominated, the dominating cell in its place would raise the utility at
-    no extra cost and keep every budget.  Its cost is within every cap on
-    its path, since the optimum is feasible.  And its z plus what the root
-    projects still to come add, at most their Dantzig bound, is the
-    optimum, at least any greedy utility.  A dropped cell can only have
-    lost one of these comparisons, so no part of the optimum is ever
-    dropped.  stats count the cells of the full profiles in both modes.
+    cells within its group's cap, the smallest budget from the group to the
+    root, the root's own projects go through the bound test of _root_bound,
+    and the outcome's profile is None.  The bundle is the same.  In every
+    fold the canonical optimum passes through, its part is the fold's cell
+    of that utility, by the non-nesting argument of profile.before.  Were
+    that cell dominated, the dominating cell in its place would raise the
+    utility at no extra cost and keep every budget.  Its cost is within
+    every cap on its path, since the optimum is feasible.  And its z plus
+    what the root projects still to come add, at most their Dantzig bound,
+    is the optimum, at least any greedy utility.  A dropped cell can only
+    have lost one of these comparisons, so no part of the optimum is ever
+    dropped.  stats.nodes counts the root, the nonempty groups and the
+    projects, and stats.cells the cells of the full profiles, in both modes.
     """
     require_no_utility_floors(inst)
-    root = build_hier_tree(inst)
+    parents, owner = build_hier_tree(inst)
     scores = approval_scores(inst)
-
+    cost = {p.id: p.cost for p in inst.projects}
+    budget = {f.id: f.budget for f in inst.groups}
     ids = tuple(sorted(scores))
     bit = rank_bits(ids)
-    stats = SolveStats()
+    own: dict[str | None, list[str]] = {}  # a group's own projects, in id order; None: the root's
+    for pid in ids:
+        own.setdefault(owner.get(pid), []).append(pid)
+    cap: dict[str | None, int] = {None: inst.budget}  # the smallest budget up to the root
+    for gid, parent in parents.items():  # supersets first
+        cap[gid] = min(budget[gid], cap[parent])
 
-    # The root's own projects come after its child groups, most score per cost
-    # first, and those of no score last; the fold's order changes no cell.
-    groups = [child for child in root.children if child.project is None]
-    efficiency = cmp_to_key(by_efficiency)
-    leaves = sorted(
-        (child for child in root.children if child.project is not None),
-        key=lambda leaf: (not scores[leaf.project], efficiency((scores[leaf.project], leaf.budget))),
-    )
-    items = [(scores[leaf.project], leaf.budget) for leaf in leaves]
-    root = HierNode(label=None, project=None, budget=root.budget, children=tuple(groups + leaves))
+    # stats count each project, nonempty group and the root as a node, and its
+    # full profile as one cell more than its total score (a project's is item's).
+    totals = [*scores.values(), *(sum(map(scores.get, f.members)) for f in inst.groups if f.members)]
+    totals.append(sum(scores.values()))
+    stats = SolveStats(nodes=len(totals), cells=sum(totals) + len(totals))
 
-    # A depth-first walk that stacks the children in order, run backwards,
-    # finishes every child, first to last, before its parent: a post-order
-    # without recursion.  Each finished profile folds into its parent's.
-    walk, stack = [], [(root, None)]
-    caps = []  # caps[at]: the smallest budget from walk[at] up to the root
-    while stack:
-        node, parent = stack.pop()
-        stack.extend((child, len(walk)) for child in node.children)
-        caps.append(node.budget if parent is None else min(node.budget, caps[parent]))
-        walk.append((node, parent))
-    stats.nodes = len(walk)
-
-    # The steps of the mode: add a leaf's project to its parent's fold, and
-    # join a finished group's fold to its parent's.  A full profile is cut
-    # at each group's own budget; a frontier is kept within every cap.
+    # The steps of the mode: add a project to a fold, and join a finished
+    # group's fold to its parent's.  A full profile is cut at each group's
+    # own budget; a frontier is kept within every cap.
     if profile:
         empty: list = [(0, 0)]
 
@@ -262,51 +218,42 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
         def join(fold: list, cells: list, budget: int, cap: int) -> list:
             cut(cells, budget)
             return combine(fold, cells)
-
-        rest = {}
     else:
         empty, add = [(0, 0, 0)], frontier_add
 
         def join(fold: list, cells: list, budget: int, cap: int) -> list:
             return frontier_combine(fold, cells, cap)
 
-        trim = _root_bound(items, root.budget)
-        # The root's children, in fold order, sit at descending walk
-        # positions.  The bound holds once no group is left to fold: after
-        # the last group and after each project, with k projects folded.
-        kids = [at for at, (_, parent) in enumerate(walk) if parent == 0][::-1]
-        rest = {at: k - len(groups) + 1 for k, at in enumerate(kids) if k >= len(groups) - 1}
+    folds: dict[str | None, list] = {}
+    for gid in reversed(parents):  # smallest first: its subgroups have joined its fold
+        cells = folds.pop(gid, empty)
+        for pid in own.get(gid, ()):
+            cells = add(cells, scores[pid], cost[pid], bit[pid], cap[gid])
+        parent = parents[gid]
+        folds[parent] = join(folds.get(parent, empty), cells, budget[gid], cap[parent])
 
-    # stats.cells counts the full profiles' lengths: a leaf's own profile
-    # (profile.item's) and a node's fold, one cell more than its total score.
-    total = [0] * len(walk)
-    folds: dict[int, list] = {}
-    for at in range(len(walk) - 1, -1, -1):
-        node, parent = walk[at]
-        if node.project is not None:
-            score = scores[node.project]
-            stats.cells += score + 1 if score else 1
-            total[parent] += score
-            folds[parent] = add(folds.get(parent, empty), score, node.budget, bit[node.project], caps[parent])
-        else:
-            cells = folds.pop(at, None) or list(empty)
-            stats.cells += total[at] + 1
-            if parent is None:
-                break  # the root, finished last
-            total[parent] += total[at]
-            folds[parent] = join(folds.get(parent, empty), cells, node.budget, caps[parent])
-        if at in rest:
-            folds[parent] = trim(folds[parent], rest[at])
+    # The root's own projects come last, most score per cost first and those
+    # of no score last; the bound test runs once every group has joined and
+    # after each project.
+    efficiency = cmp_to_key(by_efficiency)
+    top = sorted(own.get(None, ()), key=lambda pid: (not scores[pid], efficiency((scores[pid], cost[pid]))))
+    cells = folds.pop(None, empty)
+    if not profile:
+        trim = _root_bound([(scores[pid], cost[pid]) for pid in top], inst.budget)
+        cells = trim(cells, 0)
+    for k, pid in enumerate(top, 1):
+        cells = add(cells, scores[pid], cost[pid], bit[pid], inst.budget)
+        if not profile:
+            cells = trim(cells, k)
 
-    # cells is the root's, finished last.  Idle projects never enter a cell
-    # (add_item adds nothing of score 0); each cell takes them by the idle
-    # rule, as core.bundle_of gives the other exact solvers.
+    # Idle projects never enter a cell (add_item adds nothing of score 0); each
+    # cell takes them by the idle rule, as core.bundle_of gives the other solvers.
     idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
     if not profile:
-        z, cost, mask = cells[-1]
-        bundle = Bundle(ids=decode(with_idle(mask, idle), ids), cost=cost, utility=z)
+        z, spent, mask = cells[-1]
+        bundle = Bundle(ids=decode(with_idle(mask, idle), ids), cost=spent, utility=z)
         return SolveOutcome(algorithm="hier", bundle=bundle, stats=stats)
-    cut(cells, root.budget)
+    cut(cells, inst.budget)
     root_profile = UtilityCostProfile(
         cells=tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in cells), ids=ids
     )

@@ -9,6 +9,7 @@ results are checked against separately written logic.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -34,7 +35,6 @@ from grouppb import (
 )
 from grouppb.core import approval_scores
 from grouppb.errors import NotHierarchical
-from grouppb.hiersolve import HierNode, build_hier_tree
 from grouppb.layers import OrderedLayers
 from grouppb.lp import BasicSolution, LpModel
 from grouppb.typesolve import type_index
@@ -125,8 +125,20 @@ def raw_instances(draw, laminar: bool = False):
     )
 
 
-def hier_tree_reference(inst: Instance) -> HierNode:
+@dataclass(frozen=True)
+class RefNode:
+    """A node of the reference budget tree: a group, the root, or a single-project leaf."""
+
+    label: str | None  # group id; None for the root and for leaves
+    project: str | None  # set exactly on leaves
+    budget: int
+    children: tuple[RefNode, ...]
+
+
+def hier_tree_reference(inst: Instance) -> RefNode:
     """The root of hier's budget tree, by rescanning for maximal groups at every level.
+
+    The root carries the global budget and each leaf its project's cost.
 
     Each node's children are its maximal candidate groups in id order, each
     built from the candidates strictly inside it, then its uncovered
@@ -147,14 +159,30 @@ def hier_tree_reference(inst: Instance) -> HierNode:
         covered = set()
         for f in sorted(maximal, key=lambda f: f.id):
             inner = [f2 for f2 in candidates if f2.members < f.members]
-            nodes.append(HierNode(label=f.id, project=None, budget=f.budget, children=build_children(f.members, inner)))
+            nodes.append(RefNode(label=f.id, project=None, budget=f.budget, children=build_children(f.members, inner)))
             covered |= f.members
         for pid in sorted(members - covered):
-            nodes.append(HierNode(label=None, project=pid, budget=cost[pid], children=()))
+            nodes.append(RefNode(label=None, project=pid, budget=cost[pid], children=()))
         return tuple(nodes)
 
     children = build_children(frozenset(cost), groups)
-    return HierNode(label=None, project=None, budget=inst.budget, children=children)
+    return RefNode(label=None, project=None, budget=inst.budget, children=children)
+
+
+def forest_of(root: RefNode) -> tuple[dict[str, str | None], dict[str, str]]:
+    """The (parents, owner) maps of a reference tree, as core.laminar_forest gives them."""
+    parents: dict[str, str | None] = {}
+    owner: dict[str, str] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            if child.project is None:
+                parents[child.label] = node.label
+                stack.append(child)
+            elif node.label is not None:
+                owner[child.project] = node.label
+    return parents, owner
 
 
 def ordered_layers_reference(groups, universe: frozenset) -> OrderedLayers:
@@ -468,13 +496,14 @@ def hier_tuple_reference(
 ) -> tuple[SolveOutcome, tuple[Bundle | None, ...]]:
     """hier with sorted id tuples as witnesses, merged and compared per cell.
 
-    The same tree and min-plus fold as ``solve_hier``, but every cell holds
-    (cost, sorted ids) and ties are broken by comparing the tuples, so it
-    shares no mask code with the library.  Returns the outcome without its
+    The same min-plus fold as ``solve_hier``, recursive over the reference
+    tree of ``hier_tree_reference``, but every cell holds (cost, sorted ids)
+    and ties are broken by comparing the tuples, so it shares no tree or
+    mask code with the library.  Returns the outcome without its
     profile, and the profile's entries as bundles with their own utility,
     which is the cell's utility unless the cap saturated it.
     """
-    root = build_hier_tree(inst)
+    root = hier_tree_reference(inst)
     scores = approval_scores(inst)
     total_score = sum(scores.values())
     cap = total_score if u_cap is None else min(u_cap, total_score)

@@ -40,7 +40,7 @@ from grouppb import (
 )
 from grouppb.approx import lp_relaxation
 from grouppb.cli import main as cli_main
-from grouppb.dimsolve import table_cells
+from grouppb.core import table_cells
 from grouppb.layers import (
     exact_layerwidth,
     greedy_layers,

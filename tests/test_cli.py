@@ -436,6 +436,18 @@ def test_check_rejects_non_list_bundle(capsys, tmp_path):
     assert code == 2 and "JSON array" in err
 
 
+def test_unreadable_files_are_usage_errors(capsys, tmp_path):
+    deep, binary = tmp_path / "deep.json", tmp_path / "binary.json"
+    deep.write_text("[" * 100_000)
+    binary.write_bytes(b"\xff\xfe{}")
+    for args in (["solve", str(deep)], ["check", str(deep), DISTRICT], ["check", DISTRICT, str(deep)]):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
+    for args in (["solve", str(binary)], ["check", DISTRICT, str(binary)]):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_check_unknown_project_is_usage_error(capsys, tmp_path):
     bundle = tmp_path / "bundle.json"
     bundle.write_text('["p9"]')

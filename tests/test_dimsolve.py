@@ -15,7 +15,7 @@ from grouppb import (
     solve_dimdp,
     validate_instance,
 )
-from grouppb.dimsolve import table_cells
+from grouppb.core import table_cells
 
 from conftest import build_corpus, dimdp_completion_reference, raw_instances
 

@@ -40,6 +40,18 @@ def test_parse_error_carries_position():
     assert exc.value.column > 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, b"[" * 100_000, b"\xff\xfe{}", b'{"budget": "\xe9"}'],
+    ids=["deep-text", "deep-bytes", "not-utf8", "latin1-string"],
+)
+def test_unreadable_text_is_a_parse_error(text):
+    # Nesting past the interpreter's recursion limit and bytes that are not
+    # UTF-8 raise the package's error, not RecursionError or UnicodeDecodeError.
+    with pytest.raises(ParseError, match=r"^invalid (JSON: nested too deeply|UTF-8: )"):
+        parse_instance(text)
+
+
 def test_bytes_input_accepted(district_pair):
     text = serialize_instance(district_pair)
     assert parse_instance(text.encode("utf-8")) == district_pair

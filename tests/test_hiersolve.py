@@ -22,7 +22,7 @@ from grouppb.errors import NotHierarchical
 from grouppb.hiersolve import build_hier_tree
 from grouppb.profile import at_least, decode
 
-from conftest import hier_tree_reference, hier_tuple_reference, raw_instances
+from conftest import forest_of, hier_tree_reference, hier_tuple_reference, raw_instances
 
 
 def laminar_instance(seed: int, m=9, n=3, g=4) -> Instance:
@@ -31,18 +31,13 @@ def laminar_instance(seed: int, m=9, n=3, g=4) -> Instance:
     return inst
 
 
-def test_tree_wraps_groups_and_uncovered_projects(district_pair):
-    root = build_hier_tree(district_pair)
-    assert root.budget == district_pair.budget and root.project is None
-    labels = sorted(child.label for child in root.children)
-    assert labels == ["F1", "F2"]
-    for child in root.children:
-        assert sorted(leaf.project for leaf in child.children) == sorted(
-            {"F1": ["p1", "p3"], "F2": ["p2", "p4"]}[child.label]
-        )
+def test_forest_roots_groups_and_owns_their_projects(district_pair):
+    parents, owner = build_hier_tree(district_pair)
+    assert parents == {"F1": None, "F2": None}
+    assert owner == {"p1": "F1", "p3": "F1", "p2": "F2", "p4": "F2"}
 
 
-def test_tree_gives_uncovered_projects_their_cost_as_budget():
+def test_forest_leaves_uncovered_projects_to_the_root():
     inst = validate_instance(
         Instance(
             budget=10,
@@ -51,9 +46,8 @@ def test_tree_gives_uncovered_projects_their_cost_as_budget():
             groups=(Group(id="F", members=frozenset({"a"}), budget=4),),
         )
     )
-    root = build_hier_tree(inst)
-    by_project = {child.project: child for child in root.children}
-    assert by_project["b"].label is None and by_project["b"].budget == 6
+    parents, owner = build_hier_tree(inst)
+    assert parents == {"F": None} and owner == {"a": "F"}  # b has no owner: the root's own
 
 
 def test_nested_groups_nest_in_tree():
@@ -68,9 +62,9 @@ def test_nested_groups_nest_in_tree():
             ),
         )
     )
-    root = build_hier_tree(inst)
-    outer = next(ch for ch in root.children if ch.label == "outer")
-    assert sorted(ch.label or ch.project for ch in outer.children) == ["b", "inner"]
+    parents, owner = build_hier_tree(inst)
+    assert list(parents.items()) == [("outer", None), ("inner", "outer")]  # supersets first
+    assert owner == {"a": "inner", "b": "outer"}
 
 
 def test_rejects_crossing_family():
@@ -240,13 +234,21 @@ def test_tree_matches_the_maximal_group_scan(seed, shape, empties, universe):
     inst = Instance(
         budget=inst.budget, projects=inst.projects, voters=inst.voters, groups=inst.groups + tuple(extra)
     )
-    assert build_hier_tree(inst) == hier_tree_reference(inst)
+    assert_forest_matches_the_scan(inst)
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw_instances(laminar=True))
 def test_tree_matches_the_maximal_group_scan_as_written(inst):
-    assert build_hier_tree(inst) == hier_tree_reference(inst)
+    assert_forest_matches_the_scan(inst)
+
+
+def assert_forest_matches_the_scan(inst: Instance) -> None:
+    """Each group's parent and each project's owner agree with the reference tree."""
+    parents, owner = build_hier_tree(inst)
+    assert (parents, owner) == forest_of(hier_tree_reference(inst))
+    order = list(parents)
+    assert all(order.index(parent) < order.index(gid) for gid, parent in parents.items() if parent)
 
 
 def test_no_groups_is_a_plain_knapsack():
