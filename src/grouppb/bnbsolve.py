@@ -52,13 +52,37 @@ from .profile import before, rank_bits
 _efficiency = cmp_to_key(by_efficiency)
 
 
-def _suffixes_by_efficiency(items: list[tuple], weight_of) -> list[list[tuple]]:
+def _suffixes_by_efficiency(items: list[tuple], weight: int) -> list[list[tuple]]:
     """Per depth d, the items at branch positions d or later, by efficiency.
 
-    The most key per unit of weight comes first, weightless items before all.
+    Each entry is an item's (key, cost, room getter, weight), its weight the
+    item's field at index weight.  The most key per unit of weight comes
+    first, weightless items before all.
     """
-    ranked = sorted(items, key=lambda item: _efficiency((item[1], weight_of(item))))
-    return [[it for it in ranked if it[0] >= d] for d in range(len(items) + 1)]
+    ranked = sorted(items, key=lambda item: _efficiency((item[1], item[weight])))
+    return [[(it[1], it[2], it[3], it[weight]) for it in ranked if it[0] >= d] for d in range(len(items) + 1)]
+
+
+def _bound(ranked: list[tuple], room, need, res: list[int], least: int) -> tuple[bool, int]:
+    """(fits, gain): whether an entry of ranked fits res, and the floored
+    Dantzig bound of the entries that fit, their weights packed into room.
+
+    ranked is one depth's list of _suffixes_by_efficiency.  The walk stops
+    once gain reaches need, the gain below which the node is pruned, since
+    the rest cannot lower it.
+    """
+    fits, gain = False, 0
+    for w, c, fit, s in ranked:
+        if c > least and c > min(fit(res)):
+            continue
+        fits = True
+        if s > room:
+            return True, gain + w * room // s
+        gain += w
+        if gain >= need:
+            break
+        room -= s
+    return fits, gain
 
 
 def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
@@ -106,8 +130,8 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
         ),
     )
     items = [(d, *facts[j]) for d, j in enumerate(order)]
-    by_surrogate = _suffixes_by_efficiency(items, lambda it: it[4])
-    by_cost = _suffixes_by_efficiency(items, lambda it: it[2])
+    by_surrogate = _suffixes_by_efficiency(items, 4)
+    by_cost = _suffixes_by_efficiency(items, 2)
 
     res = [f.budget for f in groups] + [inst.budget]
     surrogate_room = sum(w * r for w, r in zip(weights, res))
@@ -121,37 +145,11 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
         nodes += 1
         least = min(res)  # a project costing no more fits without a closer look
 
-        # The surrogate bound first; no free project that fits makes this node
-        # a leaf.  A walk stops once its gain reaches need, the gain below
-        # which the node is pruned, since the rest cannot lower it.
+        # No free project that fits makes this node a leaf.
         need = best_key - key
-        leaf, gain, room = True, 0, surrogate_room
-        for _, w, c, fit, s, _, _ in by_surrogate[d]:
-            if c > least and c > min(fit(res)):
-                continue
-            leaf = False
-            if s > room:
-                gain += w * room // s
-                break
-            gain += w
-            if gain >= need:
-                break
-            room -= s
-        descend = not leaf and gain >= need
-        if descend:
-            gain, room = 0, res[top]
-            for _, w, c, fit, _, _, _ in by_cost[d]:
-                if c > least and c > min(fit(res)):
-                    continue
-                if c > room:
-                    gain += w * room // c
-                    break
-                gain += w
-                if gain >= need:
-                    break
-                room -= c
-            descend = gain >= need
-        if leaf and (key > best_key or key == best_key and before(mask, best_mask)):
+        fits, gain = _bound(by_surrogate[d], surrogate_room, need, res, least)
+        descend = fits and gain >= need and _bound(by_cost[d], res[top], need, res, least)[1] >= need
+        if not fits and (key > best_key or key == best_key and before(mask, best_mask)):
             best_key, best_mask = key, mask
 
         if descend:

@@ -117,35 +117,24 @@ def deleted_members(inst: Instance, deleted_group_ids) -> tuple[str, ...]:
     return tuple(sorted(set().union(*(by_id[gid].members for gid in deleted_group_ids))))
 
 
-def _restricted_instance(
-    inst: Instance,
-    keep_projects: frozenset[str],
-    group_budgets: list[tuple[Group, int]],
-    budget: int,
-) -> Instance:
-    """Sub-instance over keep_projects with already-reduced group budgets.
+def _restricted_instance(remainder: Instance, rooms: list[int], budget: int) -> Instance:
+    """remainder under the global budget and its groups' reduced budgets, rooms.
 
-    Groups with no member left drop out.  Groups restricting to the same
-    member set merge under the smallest budget, which preserves the
-    conjunction of their constraints and keeps the family free of duplicate
-    sets.
+    Groups with no member drop out.  Groups of the same member set merge
+    under the smallest budget, which preserves the conjunction of their
+    constraints and keeps the family free of duplicate sets.
     """
-    projects = tuple(p for p in inst.projects if p.id in keep_projects)
-    voters = tuple(
-        Voter(id=v.id, approves=frozenset(v.approves & keep_projects)) for v in inst.voters
-    )
     reduced: dict[frozenset[str], tuple[str, int]] = {}
-    for f, new_budget in group_budgets:
-        members = f.members & keep_projects
-        if not members:
+    for f, new_budget in zip(remainder.groups, rooms):
+        if not f.members:
             continue
-        incumbent = reduced.get(members)
+        incumbent = reduced.get(f.members)
         if incumbent is None or new_budget < incumbent[1] or (new_budget == incumbent[1] and f.id < incumbent[0]):
-            reduced[members] = (f.id, new_budget)
+            reduced[f.members] = (f.id, new_budget)
     groups = tuple(
         Group(id=gid, members=members, budget=b) for members, (gid, b) in reduced.items()
     )
-    return Instance(budget=budget, projects=projects, voters=voters, groups=groups)
+    return Instance(budget=budget, projects=remainder.projects, voters=remainder.voters, groups=groups)
 
 
 def _enumerate_and_solve(
@@ -160,7 +149,15 @@ def _enumerate_and_solve(
         raise SearchBudgetExceeded(f"2^{len(pool)} funded subsets exceed the node cap of {node_cap}")
     cost = {p.id: p.cost for p in inst.projects}
     scores = approval_scores(inst)
-    remainder = frozenset(cost) - set(pool)
+    keep = frozenset(cost) - set(pool)
+    # The projects outside the pool, their approvals and their groups' members,
+    # the same for every funded subset; only the budgets change.
+    remainder = Instance(
+        budget=inst.budget,
+        projects=tuple(p for p in inst.projects if p.id in keep),
+        voters=tuple(Voter(id=v.id, approves=frozenset(v.approves & keep)) for v in inst.voters),
+        groups=tuple(Group(id=f.id, members=f.members & keep, budget=f.budget) for f in inst.groups),
+    )
 
     stats = SolveStats()
     best: Bundle | None = None
@@ -170,11 +167,11 @@ def _enumerate_and_solve(
         spent = sum(cost[pid] for pid in chosen)
         if spent > inst.budget:
             continue
-        rooms = [(f, f.budget - sum(cost[p] for p in f.members & chosen)) for f in inst.groups]
-        if any(room < 0 for _, room in rooms):
+        rooms = [f.budget - sum(cost[p] for p in f.members & chosen) for f in inst.groups]
+        if any(room < 0 for room in rooms):
             continue
 
-        sub = _restricted_instance(inst, remainder, rooms, inst.budget - spent)
+        sub = _restricted_instance(remainder, rooms, inst.budget - spent)
         outcome = solve_hier(sub, profile=False)
         stats.cells += outcome.stats.cells
         ids = tuple(sorted(chosen | set(outcome.bundle.ids)))

@@ -32,7 +32,7 @@ from .core import (
     UtilityCostProfile,
     approval_scores,
     by_efficiency,
-    is_hierarchical,
+    is_hierarchical,  # unused here; kept importable for perfbench's tracer
     laminar_forest,
     require_no_utility_floors,
 )
@@ -57,9 +57,10 @@ def build_hier_tree(inst: Instance) -> tuple[dict[str, str | None], dict[str, st
     NotHierarchical when some pair of groups overlaps without nesting (which
     includes duplicate member sets; normalize first).
     """
-    if not is_hierarchical(inst.groups):
+    forest = laminar_forest(inst.groups)
+    if forest is None:
         raise NotHierarchical("the group family has conflicting overlaps")
-    return laminar_forest(inst.groups)
+    return forest
 
 
 def frontier_add(front: Frontier, score: int, cost: int, bit: int, cap: int) -> Frontier:

@@ -105,3 +105,19 @@ def test_matches_milp_above_bruteforce_sizes(m, g, seed, shape):
     inst, _ = normalize(gen_random(params))
     out = solve_bnb(inst)
     assert (out.utility, out.bundle.cost) == _milp_optimum(inst)
+
+
+@pytest.mark.parametrize(
+    "m, g, seed, expected",
+    [
+        (30, 4, 1, (211, 52, 109)),
+        (40, 6, 2, (290, 66, 81)),
+        (60, 8, 3, (423, 94, 3379)),
+        (40, 12, 4, (276, 64, 1511)),
+    ],
+)
+def test_search_visits_the_pinned_node_count(m, g, seed, expected):
+    # A change to the branch order, a bound or the leaf rule moves the count.
+    inst, _ = normalize(gen_random(GenParams(m=m, n=4 * m, g=g, seed=seed, approvals_hi=4)))
+    out = solve_bnb(inst)
+    assert (out.utility, out.bundle.cost, out.stats.nodes) == expected

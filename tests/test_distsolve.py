@@ -10,6 +10,7 @@ from grouppb import (
     min_group_deletion_set,
     min_project_deletion_set,
     normalize,
+    solve_bnb,
     solve_bruteforce,
     solve_group_deletion,
     solve_project_deletion,
@@ -162,3 +163,18 @@ def test_deletion_solvers_agree_with_each_other(seed):
     b = solve_project_deletion(inst, panal.deleted)
     assert a.utility == b.utility
     assert a.bundle == b.bundle
+
+
+def test_deletion_solvers_pin_their_counters():
+    # nodes counts the funded subsets tried, cells the hier cells they built.
+    inst, _ = normalize(gen_random(GenParams(m=24, n=60, g=4, seed=3, approvals_hi=3)))
+    gids = min_group_deletion_set(inst.groups).deleted
+    pids = min_project_deletion_set(inst.groups).deleted
+    assert gids == ("F1", "F2") and len(deleted_members(inst, gids)) == 10
+    assert pids == ("p02", "p06", "p16", "p20", "p22")
+    by_groups = solve_group_deletion(inst, gids)
+    by_projects = solve_project_deletion(inst, pids)
+    assert (by_groups.stats.nodes, by_groups.stats.cells) == (1024, 78200)
+    assert (by_projects.stats.nodes, by_projects.stats.cells) == (32, 8832)
+    assert by_groups.bundle == by_projects.bundle == solve_bnb(inst).bundle
+    assert (by_groups.utility, by_groups.bundle.cost) == (87, 35)
