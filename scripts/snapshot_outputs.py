@@ -28,6 +28,7 @@ RUNS = (
     ["solve", "--algo", "types"],
     ["solve", "--algo", "fptas-g"],
     ["solve", "--algo", "dimdp"],
+    ["solve", "--algo", "lp-round"],
     ["solve", "--algo", "proj-del", "--node-cap", "4096"],
     ["solve", "--algo", "group-del", "--node-cap", "4096"],
     ["analyze"],

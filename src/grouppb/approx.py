@@ -22,15 +22,14 @@ from .core import (
     Instance,
     SolveOutcome,
     SolveStats,
+    approval_scores,
     bundle_of,
-    make_bundle,
-    preference_key,
     require_no_utility_floors,
     type_index,
 )
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, lp_relaxation, simplex_solve
-from .profile import Cell, before
+from .profile import Cell, before, rank_bits
 from .typesolve import depth_first_leaves, type_min_cost_tables
 
 
@@ -40,11 +39,18 @@ def solve_lp_round(inst: Instance) -> SolveOutcome:
     model = lp_relaxation(inst)
     solution: BasicSolution = simplex_solve(model)
 
+    scores = approval_scores(inst)
+    cost = {p.id: p.cost for p in inst.projects}
+    bit = rank_bits(sorted(cost))
+    idle = sum(bit[pid] for pid in cost if not cost[pid] and not scores[pid])
     integral = [name for name, v in zip(solution.var_names, solution.values) if v == 1]
-    candidates = [make_bundle(inst, integral)]
-    for pid in model.var_names:
-        candidates.append(make_bundle(inst, [pid]))
-    best = min(candidates, key=preference_key)
+    best_key, best_mask = (0, 0), 0  # (utility, -cost) and mask of the empty bundle
+    for ids in [integral, *([pid] for pid in model.var_names)]:
+        key = (sum(scores[pid] for pid in ids), -sum(cost[pid] for pid in ids))
+        mask = sum(bit[pid] for pid in ids) & ~idle
+        if key > best_key or key == best_key and before(mask, best_mask):
+            best_key, best_mask = key, mask
+    best = bundle_of(inst, best_mask)
 
     guarantee = Fraction(len(inst.groups) + 2)
     stats = SolveStats(

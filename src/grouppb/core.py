@@ -177,15 +177,6 @@ class SolveOutcome(Value, frozen=False):
         return self.guarantee is None
 
 
-def preference_key(bundle: Bundle) -> tuple[int, int, tuple[str, ...]]:
-    """Sort key of the canonical tie-break; min() picks the preferred bundle.
-
-    Preference order: higher utility, then lower cost, then lexicographically
-    smaller sorted id list.
-    """
-    return (-bundle.utility, bundle.cost, bundle.ids)
-
-
 def approval_scores(inst: Instance) -> dict[str, int]:
     """Number of approving voters per project, for every project in the instance."""
     scores = {p.id: 0 for p in inst.projects}
@@ -198,13 +189,14 @@ def approval_scores(inst: Instance) -> dict[str, int]:
 def bundle_of(inst: Instance, mask: int) -> Bundle:
     """The canonical bundle of a rank mask over the sorted project ids.
 
-    bnb, types, dimdp and fptas-g end here.  An idle project costs 0 and
-    has score 0, so adding one changes no cost, no utility and no budget.
-    It makes the id tuple smaller when it sorts before the bundle's last
-    other project, and longer, so larger, after it.  So the bundle takes
-    every idle project and drops the trailing run of them (profile.with_idle).
-    The result depends only on the mask's other projects, so a solver that
-    never takes an idle project gets the canonical witness too.
+    bnb, types, dimdp, fptas-g, lp-round and the deletion solvers end here.
+    An idle project costs 0 and has score 0, so adding one changes no cost,
+    no utility and no budget.  It makes the id tuple smaller when it sorts
+    before the bundle's last other project, and longer, so larger, after
+    it.  So the bundle takes every idle project and drops the trailing run
+    of them (profile.with_idle).  The result depends only on the mask's
+    other projects, so a solver that never takes an idle project gets the
+    canonical witness too.
     """
     scores = approval_scores(inst)
     cost = {p.id: p.cost for p in inst.projects}
@@ -308,21 +300,6 @@ def derived_stats(inst: Instance) -> DerivedStats:
     return DerivedStats(
         m=len(inst.projects), n=len(inst.voters), g=len(inst.groups), total_score=total
     )
-
-
-def make_bundle(inst: Instance, project_ids) -> Bundle:
-    """Build a Bundle from project ids, computing cost and utility.
-
-    Duplicate ids collapse; unknown ids raise UnknownProject.
-    """
-    ids = sorted(set(project_ids))
-    costs = {p.id: p.cost for p in inst.projects}
-    for pid in ids:
-        if pid not in costs:
-            raise UnknownProject(pid)
-    chosen = set(ids)
-    utility = sum(len(v.approves & chosen) for v in inst.voters)
-    return Bundle(ids=tuple(ids), cost=sum(costs[pid] for pid in ids), utility=utility)
 
 
 def validate_instance(inst: Instance) -> Instance:
@@ -456,14 +433,18 @@ def check_bundle(inst: Instance, project_ids) -> FeasibilityReport:
     Reports all violations, ordered global budget first and then per group in
     id order.  Unknown ids raise UnknownProject.
     """
-    bundle = make_bundle(inst, project_ids)
-    chosen = set(bundle.ids)
+    chosen = set(project_ids)
     costs = {p.id: p.cost for p in inst.projects}
+    unknown = sorted(chosen - costs.keys())
+    if unknown:
+        raise UnknownProject(unknown[0])
     scores = approval_scores(inst)
+    cost = sum(costs[pid] for pid in chosen)
+    utility = sum(len(v.approves & chosen) for v in inst.voters)  # the definition, voter by voter
 
     violations: list[Violation] = []
-    if bundle.cost > inst.budget:
-        violations.append(Violation("global-budget", "global", inst.budget, bundle.cost))
+    if cost > inst.budget:
+        violations.append(Violation("global-budget", "global", inst.budget, cost))
     for f in inst.groups:
         inside = f.members & chosen
         group_cost = sum(costs[pid] for pid in inside)
@@ -476,11 +457,7 @@ def check_bundle(inst: Instance, project_ids) -> FeasibilityReport:
                     Violation("group-utility-floor", f.id, f.min_utility, group_utility)
                 )
 
-    return FeasibilityReport(
-        violations=tuple(violations),
-        cost=bundle.cost,
-        utility=bundle.utility,
-    )
+    return FeasibilityReport(violations=tuple(violations), cost=cost, utility=utility)
 
 
 def require_no_utility_floors(inst: Instance) -> None:

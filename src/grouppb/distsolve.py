@@ -14,19 +14,19 @@ from __future__ import annotations
 from .core import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_NODE_CAP,
-    Bundle,
     Group,
     Instance,
     SolveOutcome,
     SolveStats,
     Voter,
     approval_scores,
-    preference_key,
+    bundle_of,
     require_no_utility_floors,
 )
 from .errors import InvalidDeletion, SearchBudgetExceeded, Value
 from .hiersolve import solve_hier
 from .layers import crossing_pair
+from .profile import before, rank_bits
 
 
 class DeletionAnalysis(Value):
@@ -143,12 +143,17 @@ def _enumerate_and_solve(
     """Try every funded subset of the pool, solve the hierarchical rest, keep the best.
 
     Each subset is charged against the global budget and every group budget;
-    the projects outside the pool must form a hierarchical family.
+    the projects outside the pool must form a hierarchical family.  A
+    candidate is the funded subset's rank bits joined with hier's witness of
+    the rest, idle projects cleared, so that bundle_of applies the idle rule
+    once, over all ids, and profile.before breaks the ties as bnb does.
     """
     if 2 ** len(pool) > node_cap:
         raise SearchBudgetExceeded(f"2^{len(pool)} funded subsets exceed the node cap of {node_cap}")
     cost = {p.id: p.cost for p in inst.projects}
     scores = approval_scores(inst)
+    bit = rank_bits(sorted(cost))
+    idle = sum(bit[pid] for pid in cost if not cost[pid] and not scores[pid])
     keep = frozenset(cost) - set(pool)
     # The projects outside the pool, their approvals and their groups' members,
     # the same for every funded subset; only the budgets change.
@@ -160,10 +165,10 @@ def _enumerate_and_solve(
     )
 
     stats = SolveStats()
-    best: Bundle | None = None
-    for mask in range(2 ** len(pool)):
+    best_key, best_mask = (0, 0), 0  # (utility, -cost) and mask of the empty bundle
+    for subset in range(2 ** len(pool)):
         stats.nodes += 1
-        chosen = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+        chosen = frozenset(pool[i] for i in range(len(pool)) if subset >> i & 1)
         spent = sum(cost[pid] for pid in chosen)
         if spent > inst.budget:
             continue
@@ -174,17 +179,12 @@ def _enumerate_and_solve(
         sub = _restricted_instance(remainder, rooms, inst.budget - spent)
         outcome = solve_hier(sub, profile=False)
         stats.cells += outcome.stats.cells
-        ids = tuple(sorted(chosen | set(outcome.bundle.ids)))
-        candidate = Bundle(
-            ids=ids,
-            cost=spent + outcome.bundle.cost,
-            utility=sum(scores[pid] for pid in chosen) + outcome.bundle.utility,
-        )
-        if best is None or preference_key(candidate) < preference_key(best):
-            best = candidate
+        key = (sum(scores[pid] for pid in chosen) + outcome.bundle.utility, -spent - outcome.bundle.cost)
+        mask = sum(bit[pid] for pid in chosen | set(outcome.bundle.ids)) & ~idle
+        if key > best_key or key == best_key and before(mask, best_mask):
+            best_key, best_mask = key, mask
 
-    assert best is not None  # the empty funded subset always yields a candidate
-    return SolveOutcome(algorithm=algorithm, bundle=best, stats=stats)
+    return SolveOutcome(algorithm=algorithm, bundle=bundle_of(inst, best_mask), stats=stats)
 
 
 def solve_group_deletion(

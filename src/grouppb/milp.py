@@ -112,10 +112,4 @@ def export_lp_format(model: MilpModel) -> str:
 
 
 def _join_terms(terms) -> str:
-    parts = []
-    for coeff, name in terms:
-        if not parts:
-            parts.append(f"{coeff} {name}")
-        else:
-            parts.append(f"+ {coeff} {name}")
-    return " ".join(parts)
+    return " + ".join(f"{c} {n}" for c, n in terms)

@@ -64,6 +64,28 @@ def district_pair() -> Instance:
     )
 
 
+@pytest.fixture
+def idle_inside_pool() -> Instance:
+    """Three projects of cost 0 as written, with the idle p2 inside a deletion's pool.
+
+    One voter approves p1 and p3; the budget is 0 and the groups F0 = {p1, p3}
+    and F1 = {p1, p2} cross, both of budget 0.  Deleting F0 or p3 leaves a
+    laminar rest.  p2 sorts before the funded p3, so the canonical witness
+    is (p1, p2, p3).
+    """
+    return validate_instance(
+        Instance(
+            budget=0,
+            projects=tuple(Project(id=pid, cost=0) for pid in ("p1", "p2", "p3")),
+            voters=(Voter(id="v1", approves=frozenset({"p1", "p3"})),),
+            groups=(
+                Group(id="F0", members=frozenset({"p1", "p3"}), budget=0),
+                Group(id="F1", members=frozenset({"p1", "p2"}), budget=0),
+            ),
+        )
+    )
+
+
 def build_corpus(count: int, seed0: int = 0, *, m=8, n=3, g=3, shapes=None) -> list[Instance]:
     """Deterministic normalized instances cycling through family shapes."""
     if shapes is None:

@@ -83,6 +83,10 @@ def test_lp_round_with_no_usable_project_returns_empty():
     assert out.utility == 0 and out.bundle.ids == ()
 
 
+def test_lp_round_takes_an_idle_project_before_its_last(idle_inside_pool):
+    assert solve_lp_round(idle_inside_pool).bundle == solve_bruteforce(idle_inside_pool).witness
+
+
 def test_lp_round_guarantee_holds_on_corpus():
     for inst in build_corpus(40, m=9, g=3, seed0=500):
         out = solve_lp_round(inst)

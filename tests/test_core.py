@@ -22,7 +22,7 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
-from grouppb.core import approval_scores, derived_stats, make_bundle, preference_key
+from grouppb.core import approval_scores, derived_stats
 from grouppb.errors import InvalidInstance, UnknownProject
 
 from conftest import build_corpus
@@ -120,11 +120,12 @@ def test_scores_and_stats(district_pair):
     assert (stats.m, stats.n, stats.g, stats.total_score) == (4, 2, 2, 5)
 
 
-def test_make_bundle_dedupes_and_rejects_unknown(district_pair):
-    b = make_bundle(district_pair, ["p3", "p3", "p1"])
-    assert b == Bundle(ids=("p1", "p3"), cost=5, utility=3)
-    with pytest.raises(UnknownProject):
-        make_bundle(district_pair, ["p1", "nope"])
+def test_check_bundle_dedupes_and_rejects_unknown(district_pair):
+    report = check_bundle(district_pair, ["p3", "p3", "p1"])
+    assert (report.cost, report.utility) == (5, 3)
+    with pytest.raises(UnknownProject) as raised:
+        check_bundle(district_pair, ["p1", "zz", "nope"])
+    assert raised.value.args == ("nope",)
 
 
 def test_check_bundle_reports_in_order():
@@ -184,26 +185,15 @@ def test_unsatisfiable_floor_yields_no_feasible_bundle():
     assert result.optimum is None and result.witness is None
 
 
-def test_preference_key_orders_utility_cost_then_ids():
-    better = Bundle(ids=("a",), cost=5, utility=3)
-    worse = Bundle(ids=("b",), cost=1, utility=2)
-    assert preference_key(better) < preference_key(worse)
-    cheap = Bundle(ids=("z",), cost=1, utility=3)
-    assert preference_key(cheap) < preference_key(better)
-    lex = Bundle(ids=("a", "c"), cost=1, utility=3)
-    lex2 = Bundle(ids=("a", "d"), cost=1, utility=3)
-    assert preference_key(lex) < preference_key(lex2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 2**16))
 def test_utility_double_counting(seed, pick):
     inst = gen_random(GenParams(m=8, n=4, g=2, seed=seed))
     chosen = [p.id for i, p in enumerate(inst.projects) if pick >> i & 1]
-    bundle = make_bundle(inst, chosen)
+    report = check_bundle(inst, chosen)
     scores = approval_scores(inst)
-    # voter-wise count (inside make_bundle) equals score-wise sum
-    assert bundle.utility == sum(scores[pid] for pid in bundle.ids)
+    # voter-wise count (inside check_bundle) equals score-wise sum
+    assert report.utility == sum(scores[pid] for pid in chosen)
 
 
 def test_corpus_builder_shapes_are_valid():

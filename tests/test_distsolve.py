@@ -5,6 +5,7 @@ from grouppb import (
     GenParams,
     SearchBudgetExceeded,
     SolveOutcome,
+    check_bundle,
     gen_random,
     is_hierarchical,
     min_group_deletion_set,
@@ -13,16 +14,20 @@ from grouppb import (
     solve_bnb,
     solve_bruteforce,
     solve_group_deletion,
+    solve_lp_round,
     solve_project_deletion,
 )
+from grouppb.core import bundle_of
 from grouppb.errors import InvalidDeletion
 from grouppb.distsolve import deleted_members
+from grouppb.profile import rank_bits
 
 from conftest import (
     add_crossing_group,
     build_corpus,
     exhaustive_group_deletion_min,
     exhaustive_project_deletion_min,
+    raw_instances,
 )
 
 
@@ -95,6 +100,29 @@ def test_project_deletion_solver_equals_oracle():
         assert out.utility == oracle.optimum
         assert out.bundle == oracle.witness
         assert out.algorithm == "proj-del"
+
+
+def test_deletion_witnesses_take_an_idle_project_inside_the_pool(idle_inside_pool):
+    witness = solve_bruteforce(idle_inside_pool).witness
+    assert witness.ids == ("p1", "p2", "p3")
+    assert solve_group_deletion(idle_inside_pool, ["F0"]).bundle == witness
+    assert solve_project_deletion(idle_inside_pool, ["p3"]).bundle == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_instances())
+def test_deletion_and_lp_round_witnesses_are_canonical_as_written(inst):
+    witness = solve_bruteforce(inst).witness
+    gids = min_group_deletion_set(inst.groups, depth_cap=4).deleted
+    if gids is not None:
+        assert solve_group_deletion(inst, gids).bundle == witness
+    pids = min_project_deletion_set(inst.groups, depth_cap=4).deleted
+    if pids is not None:
+        assert solve_project_deletion(inst, pids).bundle == witness
+    rounded = solve_lp_round(inst).bundle
+    bit = rank_bits(sorted(p.id for p in inst.projects))
+    assert bundle_of(inst, sum(bit[pid] for pid in rounded.ids)) == rounded
+    assert check_bundle(inst, rounded.ids).feasible
 
 
 def test_group_deletion_is_project_deletion_of_the_members():

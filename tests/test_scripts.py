@@ -31,6 +31,6 @@ def test_snapshot_outputs_prints_one_untimed_line_per_run():
     )
     assert result.returncode == 0, result.stderr
     runs = [json.loads(line) for line in result.stdout.splitlines()]
-    assert len(runs) == 11 and {run["file"] for run in runs} == {"district_pair.json"}
+    assert len(runs) == 12 and {run["file"] for run in runs} == {"district_pair.json"}
     assert runs[0]["exit"] == 0 and json.loads(runs[0]["stdout"])["utility"] == 4
     assert not any("wall_time_s" in run["stdout"] for run in runs)
