@@ -22,14 +22,14 @@ from .core import (
     Instance,
     SolveOutcome,
     SolveStats,
-    approval_scores,
     bundle_of,
+    columns,
     require_no_utility_floors,
     type_index,
 )
 from .errors import SearchBudgetExceeded
 from .lp import BasicSolution, lp_relaxation, simplex_solve
-from .profile import Cell, before, rank_bits
+from .profile import Cell, before
 from .typesolve import depth_first_leaves, type_min_cost_tables
 
 
@@ -39,10 +39,7 @@ def solve_lp_round(inst: Instance) -> SolveOutcome:
     model = lp_relaxation(inst)
     solution: BasicSolution = simplex_solve(model)
 
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
-    bit = rank_bits(sorted(cost))
-    idle = sum(bit[pid] for pid in cost if not cost[pid] and not scores[pid])
+    _, cost, scores, bit, idle = cols = columns(inst)
     integral = [name for name, v in zip(solution.var_names, solution.values) if v == 1]
     best_key, best_mask = (0, 0), 0  # (utility, -cost) and mask of the empty bundle
     for ids in [integral, *([pid] for pid in model.var_names)]:
@@ -50,7 +47,7 @@ def solve_lp_round(inst: Instance) -> SolveOutcome:
         mask = sum(bit[pid] for pid in ids) & ~idle
         if key > best_key or key == best_key and before(mask, best_mask):
             best_key, best_mask = key, mask
-    best = bundle_of(inst, best_mask)
+    best = bundle_of(cols, best_mask)
 
     guarantee = Fraction(len(inst.groups) + 2)
     stats = SolveStats(
@@ -144,6 +141,6 @@ def solve_fptas_g(
         if utility > u or utility == u and (spent < c or spent == c and before(mask, w)):
             best = (utility, spent, mask)
 
-    bundle = bundle_of(inst, best[2])
+    bundle = bundle_of(columns(inst), best[2])
     assert (bundle.utility, bundle.cost) == best[:2]
     return SolveOutcome(algorithm="fptas-g", bundle=bundle, guarantee=one_plus_eps, stats=stats)

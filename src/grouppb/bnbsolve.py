@@ -3,10 +3,11 @@
 The search maximizes the key score * (B + 1) - cost summed over a bundle, B
 the global budget.  No feasible bundle costs more than B, so the key orders
 bundles by utility first and then by least cost, and one search finds the
-canonical utility and cost.  Every project in the search has a positive key:
-it fits every budget on its own and has a positive score.  Projects of score
-0 never enter; the idle ones (cost 0 too) are added at the end by
-core.bundle_of, the idle rule's home.
+canonical utility and cost.  The free projects, those the search branches
+on, are the root LP's variables with a positive score, so each has a
+positive key: the LP's variables are the projects that fit every budget on
+their own.  Projects of score 0 never enter; the idle ones (cost 0 too) are
+added at the end by core.bundle_of, the idle rule's home.
 
 The nodes are visited depth first, including a project before excluding it.
 Projects are branched on in descending value at the root LP optimum
@@ -37,16 +38,15 @@ from .core import (
     Instance,
     SolveOutcome,
     SolveStats,
-    approval_scores,
     bundle_of,
     by_efficiency,
-    individually_feasible,
+    columns,
     require_no_utility_floors,
     type_index,
 )
 from .errors import SearchBudgetExceeded
 from .lp import lp_relaxation, simplex_solve
-from .profile import before, rank_bits
+from .profile import before
 
 
 _efficiency = cmp_to_key(by_efficiency)
@@ -91,9 +91,7 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     Raises SearchBudgetExceeded instead of exploring more than node_cap nodes.
     """
     require_no_utility_floors(inst)
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
-    bit = rank_bits(sorted(scores))
+    _, cost, scores, bit, _ = cols = columns(inst)
     big = inst.budget + 1
 
     model = lp_relaxation(inst)
@@ -115,7 +113,7 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
     # Items (position, key, cost, room, surrogate weight, bit, axes), in branch
     # order; room(res) holds the residuals of the item's axes, the global one
     # twice so that the getter always returns a tuple.
-    free = [pid for pid in individually_feasible(inst) if scores[pid] > 0]
+    free = [pid for pid in model.var_names if scores[pid] > 0]
     facts = []
     for pid in free:
         axes = type_axes[type_of[pid]]
@@ -170,4 +168,4 @@ def solve_bnb(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
             path.append(d)
         d += 1
 
-    return SolveOutcome(algorithm="bnb", bundle=bundle_of(inst, best_mask), stats=SolveStats(nodes=nodes))
+    return SolveOutcome(algorithm="bnb", bundle=bundle_of(cols, best_mask), stats=SolveStats(nodes=nodes))

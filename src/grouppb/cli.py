@@ -25,6 +25,7 @@ from .core import (
     Instance,
     bundle_of,
     check_bundle,
+    columns,
     derived_stats,
     is_hierarchical,
     normalize,
@@ -228,7 +229,7 @@ def _decision_bundle(inst: Instance, algo: str, target: int, args) -> Bundle | N
     profile = solver(inst).profile
     cells = at_least(list(profile.cells))
     cell = cells[target] if target < len(cells) else None
-    return None if cell is None else bundle_of(inst, cell[1])
+    return None if cell is None else bundle_of(columns(inst), cell[1])
 
 
 def cmd_solve(args) -> int:

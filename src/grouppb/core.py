@@ -9,9 +9,11 @@ the number of funded projects each voter approves.
 
 Besides the model, this module holds what every solve path reads, so that a
 solve loads no solver it does not run: the default resource caps of the
-solvers, the hierarchy test with its containment forest (laminar_forest),
-the one project-by-groups classification (type_index), and the size of
-dimdp's table (table_cells), which auto reads on every non-laminar solve.
+solvers, the project columns (columns) with the canonical bundle of a rank
+mask over them (bundle_of), the hierarchy test with its containment forest
+(laminar_forest), the one project-by-groups classification (type_index),
+and the size of dimdp's table (table_cells), which auto reads on every
+non-laminar solve.
 
 The classes here are plain value classes on errors.Value, not dataclasses:
 a solve child builds each class without generating code, and never
@@ -186,10 +188,28 @@ def approval_scores(inst: Instance) -> dict[str, int]:
     return scores
 
 
-def bundle_of(inst: Instance, mask: int) -> Bundle:
-    """The canonical bundle of a rank mask over the sorted project ids.
+Columns = tuple[tuple[str, ...], dict[str, int], dict[str, int], dict[str, int], int]
 
-    bnb, types, dimdp, fptas-g, lp-round and the deletion solvers end here.
+
+def columns(inst: Instance) -> Columns:
+    """(ids, cost, scores, bit, idle): the per-project data every solver reads.
+
+    ids are sorted; cost, scores and bit map each id to its cost, approval
+    score and rank bit over ids.  idle masks the projects of cost 0 and
+    score 0, and this is the one place that decides idleness.
+    """
+    scores = approval_scores(inst)
+    cost = {p.id: p.cost for p in inst.projects}
+    ids = tuple(sorted(scores))
+    bit = rank_bits(ids)
+    idle = sum(bit[pid] for pid in ids if not cost[pid] and not scores[pid])
+    return ids, cost, scores, bit, idle
+
+
+def bundle_of(cols: Columns, mask: int) -> Bundle:
+    """The canonical bundle of a rank mask over the columns' sorted ids.
+
+    Every solver but bruteforce ends here, hier when it builds no profile.
     An idle project costs 0 and has score 0, so adding one changes no cost,
     no utility and no budget.  It makes the id tuple smaller when it sorts
     before the bundle's last other project, and longer, so larger, after
@@ -198,11 +218,7 @@ def bundle_of(inst: Instance, mask: int) -> Bundle:
     other projects, so a solver that never takes an idle project gets the
     canonical witness too.
     """
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
-    ids = sorted(scores)
-    bit = rank_bits(ids)
-    idle = sum(bit[pid] for pid in ids if not cost[pid] and not scores[pid])
+    ids, cost, scores, _, idle = cols
     chosen = decode(with_idle(mask, idle), ids)
     return Bundle(
         ids=chosen,

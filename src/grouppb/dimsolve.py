@@ -41,15 +41,14 @@ from .core import (
     Instance,
     SolveOutcome,
     SolveStats,
-    approval_scores,
     bundle_of,
+    columns,
     individually_feasible,
     require_no_utility_floors,
     table_cells,
     type_index,
 )
 from .errors import TableTooLarge
-from .profile import rank_bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,7 +79,7 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
 
     groups = sorted(inst.groups, key=lambda f: f.id)
     limits = [f.budget for f in groups] + [inst.budget]
-    scores = approval_scores(inst)
+    _, cost, scores, bit, _ = cols = columns(inst)
 
     # A project spends its cost on the axes of its type's groups and the global one.
     axes_of = {}
@@ -88,7 +87,6 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
         axes = tuple(int(f.id in entry.groups) for f in groups) + (1,)
         axes_of.update((pid, axes) for pid in entry.members)
 
-    cost = {p.id: p.cost for p in inst.projects}
     usable = [  # projects that fit every axis on their own; others fit no bundle
         (pid, cost[pid], scores[pid], tuple(cost[pid] * on for on in axes_of[pid]))
         for pid in sorted(individually_feasible(inst))
@@ -118,7 +116,6 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
             _add(part, score, vector)
         return int(part[tuple(box)])
 
-    bit = rank_bits(sorted(scores))
     mask = 0
     u_rem, c_rem = best_utility, best_cost
     room = limits[:-1]
@@ -132,4 +129,4 @@ def solve_dimdp(inst: Instance, cell_cap: int = DEFAULT_CELL_CAP) -> SolveOutcom
     assert u_rem == 0 and c_rem == 0
 
     stats = SolveStats(nodes=n * cells, cells=cells)
-    return SolveOutcome(algorithm="dimdp", bundle=bundle_of(inst, mask), stats=stats)
+    return SolveOutcome(algorithm="dimdp", bundle=bundle_of(cols, mask), stats=stats)

@@ -19,14 +19,14 @@ from .core import (
     SolveOutcome,
     SolveStats,
     Voter,
-    approval_scores,
     bundle_of,
+    columns,
     require_no_utility_floors,
 )
 from .errors import InvalidDeletion, SearchBudgetExceeded, Value
 from .hiersolve import solve_hier
 from .layers import crossing_pair
-from .profile import before, rank_bits
+from .profile import before
 
 
 class DeletionAnalysis(Value):
@@ -150,11 +150,8 @@ def _enumerate_and_solve(
     """
     if 2 ** len(pool) > node_cap:
         raise SearchBudgetExceeded(f"2^{len(pool)} funded subsets exceed the node cap of {node_cap}")
-    cost = {p.id: p.cost for p in inst.projects}
-    scores = approval_scores(inst)
-    bit = rank_bits(sorted(cost))
-    idle = sum(bit[pid] for pid in cost if not cost[pid] and not scores[pid])
-    keep = frozenset(cost) - set(pool)
+    ids, cost, scores, bit, idle = cols = columns(inst)
+    keep = frozenset(ids) - set(pool)
     # The projects outside the pool, their approvals and their groups' members,
     # the same for every funded subset; only the budgets change.
     remainder = Instance(
@@ -184,7 +181,7 @@ def _enumerate_and_solve(
         if key > best_key or key == best_key and before(mask, best_mask):
             best_key, best_mask = key, mask
 
-    return SolveOutcome(algorithm=algorithm, bundle=bundle_of(inst, best_mask), stats=stats)
+    return SolveOutcome(algorithm=algorithm, bundle=bundle_of(cols, best_mask), stats=stats)
 
 
 def solve_group_deletion(

@@ -25,19 +25,19 @@ from bisect import bisect_right
 from functools import cmp_to_key
 
 from .core import (
-    Bundle,
     Instance,
     SolveOutcome,
     SolveStats,
     UtilityCostProfile,
-    approval_scores,
+    bundle_of,
     by_efficiency,
+    columns,
     is_hierarchical,  # unused here; kept importable for perfbench's tracer
     laminar_forest,
     require_no_utility_floors,
 )
 from .errors import NotHierarchical
-from .profile import Cell, add_item, before, combine, cut, decode, rank_bits, with_idle
+from .profile import Cell, add_item, before, combine, cut, with_idle
 
 # A Pareto frontier: the live (z, cost, mask) cells of a fold, ascending in z,
 # with costs strictly increasing, so no cell is reached by a higher utility at
@@ -189,11 +189,8 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
     """
     require_no_utility_floors(inst)
     parents, owner = build_hier_tree(inst)
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
+    ids, cost, scores, bit, idle = cols = columns(inst)
     budget = {f.id: f.budget for f in inst.groups}
-    ids = tuple(sorted(scores))
-    bit = rank_bits(ids)
     own: dict[str | None, list[str]] = {}  # a group's own projects, in id order; None: the root's
     for pid in ids:
         own.setdefault(owner.get(pid), []).append(pid)
@@ -247,13 +244,11 @@ def solve_hier(inst: Instance, profile: bool = True) -> SolveOutcome:
         if not profile:
             cells = trim(cells, k)
 
-    # Idle projects never enter a cell (add_item adds nothing of score 0); each
-    # cell takes them by the idle rule, as core.bundle_of gives the other solvers.
-    idle = sum(bit[p.id] for p in inst.projects if not p.cost and not scores[p.id])
+    # Idle projects never enter a cell (add_item adds nothing of score 0).  The
+    # optimum takes them in core.bundle_of, as every other solver's does, and
+    # each profile cell by the same idle rule.
     if not profile:
-        z, spent, mask = cells[-1]
-        bundle = Bundle(ids=decode(with_idle(mask, idle), ids), cost=spent, utility=z)
-        return SolveOutcome(algorithm="hier", bundle=bundle, stats=stats)
+        return SolveOutcome(algorithm="hier", bundle=bundle_of(cols, cells[-1][2]), stats=stats)
     cut(cells, inst.budget)
     root_profile = UtilityCostProfile(
         cells=tuple(None if c is None else (c[0], with_idle(c[1], idle)) for c in cells), ids=ids

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .core import Group, is_hierarchical, laminar_forest  # is_hierarchical: re-exported
+# is_hierarchical is re-exported: perfbench.workloads imports it from here.
+from .core import Group, is_hierarchical, laminar_forest
 from .errors import NotHierarchical, TooLarge, Value
 
 # exact_layerwidth, a backtracking search, runs only up to this many groups.

@@ -1,7 +1,10 @@
 """Exact linear programming over rationals: primal simplex with Bland's rule.
 
 lp_relaxation builds the one LP model of an instance, its fractional
-relaxation; lp-round rounds its vertex and bnb bounds with its duals.
+relaxation; lp-round rounds its vertex and bnb bounds with its duals.  Its
+rows, right-hand sides and objective are the instance's costs, budgets and
+scores, plain ints, so the lcm scaling below applies only to rational
+models, which simplex_solve accepts too.
 
 Models are maximization problems with <= rows and every variable boxed to
 [0, 1].  Box upper bounds become explicit rows, so the all-slack basis is
@@ -42,15 +45,15 @@ from .errors import Value
 
 class LpRow(Value):
     name: str
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    rhs: int | Fraction
 
 
 class LpModel(Value):
     """max objective . x  subject to  rows (<=)  and  0 <= x <= 1."""
 
     var_names: tuple[str, ...]
-    objective: tuple[Fraction, ...]
+    objective: tuple[int | Fraction, ...]
     rows: tuple[LpRow, ...]
 
 
@@ -75,21 +78,15 @@ def lp_relaxation(inst: Instance) -> LpModel:
 
     rows = []
     for f in sorted(inst.groups, key=lambda f: f.id):
-        coeffs = tuple(Fraction(cost[pid]) if pid in f.members else Fraction(0) for pid in ids)
+        coeffs = tuple(cost[pid] if pid in f.members else 0 for pid in ids)
         if any(coeffs):
-            rows.append(LpRow(name=f"grp_{f.id}", coeffs=coeffs, rhs=Fraction(f.budget)))
-    rows.append(
-        LpRow(name="global", coeffs=tuple(Fraction(cost[pid]) for pid in ids), rhs=Fraction(inst.budget))
-    )
-    return LpModel(
-        var_names=ids,
-        objective=tuple(Fraction(scores[pid]) for pid in ids),
-        rows=tuple(rows),
-    )
+            rows.append(LpRow(name=f"grp_{f.id}", coeffs=coeffs, rhs=f.budget))
+    rows.append(LpRow(name="global", coeffs=tuple(cost[pid] for pid in ids), rhs=inst.budget))
+    return LpModel(var_names=ids, objective=tuple(scores[pid] for pid in ids), rows=tuple(rows))
 
 
 def _integer_row(values) -> list[int]:
-    """The rationals scaled by the lcm of their denominators."""
+    """The rationals scaled by the lcm of their denominators (ints stay)."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values]
 

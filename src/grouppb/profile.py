@@ -118,7 +118,8 @@ def at_least(profile: list[Cell]) -> list[Cell]:
 
 
 def with_idle(mask: int, idle: int) -> int:
-    """The idle rule of core.with_idle on masks; idle marks the idle projects.
+    """The idle rule of core.bundle_of on masks; idle marks the idle projects,
+    core.columns' idle mask.
 
     The rest of the bundle keeps its bits, and an idle bit is added exactly
     when it lies above the lowest set bit of the rest, that is, when its id

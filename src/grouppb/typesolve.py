@@ -28,13 +28,13 @@ from .core import (
     SolveOutcome,
     SolveStats,
     TypeIndex,
-    approval_scores,
     bundle_of,
+    columns,
     require_no_utility_floors,
     type_index,
 )
 from .errors import SearchBudgetExceeded
-from .profile import Cell, add_item, at_least, before, rank_bits
+from .profile import Cell, add_item, at_least, before
 
 
 def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
@@ -43,10 +43,7 @@ def type_min_cost_tables(inst: Instance, index: TypeIndex) -> list[list[Cell]]:
     Cell v of a profile is the cheapest sub-bundle of the type at utility
     exactly v, with masks over the instance's sorted project ids.
     """
-    scores = approval_scores(inst)
-    cost = {p.id: p.cost for p in inst.projects}
-    bit = rank_bits(sorted(scores))
-
+    _, cost, scores, bit, _ = columns(inst)
     tables = []
     for entry in index.types:
         reach: list[Cell] = [(0, 0)]
@@ -160,7 +157,7 @@ def solve_types_decision(inst: Instance, u: int, node_cap: int = DEFAULT_NODE_CA
     if u > sum(len(t) - 1 for t in tables):
         return None
     cell = _scan_allocations(inst, index, tables, u, node_cap, SolveStats(), first=False)
-    return None if cell is None else bundle_of(inst, cell[1])
+    return None if cell is None else bundle_of(columns(inst), cell[1])
 
 
 def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOutcome:
@@ -183,6 +180,6 @@ def solve_types_max(inst: Instance, node_cap: int = DEFAULT_NODE_CAP) -> SolveOu
         else:
             hi = mid - 1
 
-    best = bundle_of(inst, _scan_allocations(inst, index, tables, lo, node_cap, stats, first=False)[1])
+    best = bundle_of(columns(inst), _scan_allocations(inst, index, tables, lo, node_cap, stats, first=False)[1])
     assert best.utility == lo
     return SolveOutcome(algorithm="types", bundle=best, stats=stats)

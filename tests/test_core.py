@@ -22,7 +22,7 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
-from grouppb.core import approval_scores, derived_stats
+from grouppb.core import approval_scores, bundle_of, columns, derived_stats
 from grouppb.errors import InvalidInstance, UnknownProject
 
 from conftest import build_corpus
@@ -118,6 +118,25 @@ def test_scores_and_stats(district_pair):
     assert approval_scores(district_pair) == {"p1": 1, "p2": 1, "p3": 2, "p4": 1}
     stats = derived_stats(district_pair)
     assert (stats.m, stats.n, stats.g, stats.total_score) == (4, 2, 2, 5)
+
+
+def test_columns_of_an_instance_as_written():
+    # Out of id order: p2 idle, p0 free but approved, p3 costly but unapproved.
+    inst = Instance(
+        budget=4,
+        projects=(Project("p3", 2), Project("p1", 1), Project("p2", 0), Project("p0", 0)),
+        voters=(Voter("v1", frozenset({"p0", "p1"})), Voter("v0", frozenset({"p1"}))),
+        groups=(),
+    )
+    ids, cost, scores, bit, idle = cols = columns(inst)
+    assert ids == ("p0", "p1", "p2", "p3")
+    assert cost == {"p0": 0, "p1": 1, "p2": 0, "p3": 2}
+    assert scores == {"p0": 1, "p1": 2, "p2": 0, "p3": 0}
+    assert bit == {"p0": 0b1000, "p1": 0b0100, "p2": 0b0010, "p3": 0b0001}
+    assert idle == bit["p2"]
+    # The idle p2 joins a bundle it sorts inside, and is dropped after its end.
+    assert bundle_of(cols, 0b1001) == Bundle(ids=("p0", "p2", "p3"), cost=2, utility=1)
+    assert bundle_of(cols, 0b1110) == Bundle(ids=("p0", "p1"), cost=1, utility=3)
 
 
 def test_check_bundle_dedupes_and_rejects_unknown(district_pair):

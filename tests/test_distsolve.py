@@ -17,7 +17,7 @@ from grouppb import (
     solve_lp_round,
     solve_project_deletion,
 )
-from grouppb.core import bundle_of
+from grouppb.core import bundle_of, columns
 from grouppb.errors import InvalidDeletion
 from grouppb.distsolve import deleted_members
 from grouppb.profile import rank_bits
@@ -121,7 +121,7 @@ def test_deletion_and_lp_round_witnesses_are_canonical_as_written(inst):
         assert solve_project_deletion(inst, pids).bundle == witness
     rounded = solve_lp_round(inst).bundle
     bit = rank_bits(sorted(p.id for p in inst.projects))
-    assert bundle_of(inst, sum(bit[pid] for pid in rounded.ids)) == rounded
+    assert bundle_of(columns(inst), sum(bit[pid] for pid in rounded.ids)) == rounded
     assert check_bundle(inst, rounded.ids).feasible
 
 

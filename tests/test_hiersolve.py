@@ -17,7 +17,7 @@ from grouppb import (
     solve_hier,
     validate_instance,
 )
-from grouppb.core import bundle_of
+from grouppb.core import bundle_of, columns
 from grouppb.errors import NotHierarchical
 from grouppb.hiersolve import build_hier_tree
 from grouppb.profile import at_least, decode
@@ -300,4 +300,4 @@ def test_matches_tuple_reference_above_bruteforce_sizes(shape, m, seed):
         for u_cap in (ref.utility, ref.utility // 2, 1, 3):
             cost, mask = cells[u_cap]
             top = hier_tuple_reference(inst, u_cap)[1][-1]
-            assert bundle_of(inst, mask) == top and top.cost == cost
+            assert bundle_of(columns(inst), mask) == top and top.cost == cost

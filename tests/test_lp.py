@@ -130,6 +130,12 @@ def test_empty_model_solves_to_zero():
     assert sol.values == () and sol.objective == 0
 
 
+def test_relaxation_of_an_instance_is_integer(district_pair):
+    m = lp_relaxation(district_pair)
+    numbers = [*m.objective, *(x for row in m.rows for x in (*row.coeffs, row.rhs))]
+    assert numbers and all(type(x) is int for x in numbers)
+
+
 def test_matches_fraction_reference_on_relaxation_corpus():
     # Whole BasicSolutions: equal iterations mean the same pivot path.
     for seed0, count in ((0, 25), (200, 25), (400, 30)):
